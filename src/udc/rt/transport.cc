@@ -85,10 +85,12 @@ std::chrono::microseconds RtTransport::draw_delay(Rng& rng) {
          std::chrono::microseconds(span == 0 ? 0 : rng.next_below(span + 1));
 }
 
-void RtTransport::push_op(Shard& sh, Op op) {
-  op.id = sh.next_op_id++;
+std::uint64_t RtTransport::push_op(Shard& sh, Op op) {
+  const std::uint64_t id = sh.next_op_id++;
+  op.id = id;
   sh.ops.push(std::move(op));
   sh.cv.notify_one();
+  return id;
 }
 
 void RtTransport::ensure_scan(Shard& sh,
@@ -97,7 +99,7 @@ void RtTransport::ensure_scan(Shard& sh,
   Op scan;
   scan.at = at;
   scan.kind = OpKind::kRetryScan;
-  push_op(sh, std::move(scan));
+  sh.scan_op = push_op(sh, std::move(scan));
   sh.scan_scheduled = true;
   sh.scan_at = at;
 }
@@ -211,6 +213,15 @@ std::size_t RtTransport::dedup_peak() const {
   return peak;
 }
 
+std::size_t RtTransport::queued_ops() const {
+  std::size_t total = 0;
+  for (const auto& shp : shards_) {
+    std::lock_guard<std::mutex> lock(shp->mu);
+    total += shp->ops.size();
+  }
+  return total;
+}
+
 void RtTransport::dispatch_loop(Shard& sh) {
   std::unique_lock<std::mutex> lock(sh.mu);
   while (!sh.stopping) {
@@ -234,7 +245,12 @@ void RtTransport::dispatch_loop(Shard& sh) {
         handle_deliver(sh, lock, std::move(op));
         break;
       case OpKind::kRetryScan:
-        handle_retry_scan(sh);
+        // Only the live scan runs.  A superseded one that ran would re-arm
+        // another scan, so while any send stays pending (one toward a dead
+        // process stays forever) superseded scans would multiply, and their
+        // O(pending) walks under the shard lock would starve every worker
+        // sending through this shard.
+        if (op.id == sh.scan_op) handle_retry_scan(sh);
         break;
       case OpKind::kAckFlush:
         handle_ack_flush(sh, op.chan);

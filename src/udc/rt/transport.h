@@ -36,7 +36,9 @@
 //               then re-arms itself at the earliest remaining deadline.
 //               PR 3 queued one retry op per pending send; under load that
 //               made the op heap the hot structure.  The scan replaces
-//               O(pending) heap churn with one amortized pass.
+//               O(pending) heap churn with one amortized pass.  A scan
+//               re-armed for an earlier deadline supersedes the queued one,
+//               which is skipped when it comes due.
 //   ackflush  — deliver the batch of acks owed on one ordered channel: one
 //               drop-policy draw and one delay draw for the whole batch
 //               (the batch models one ack frame).  Each acked seq retires
@@ -142,6 +144,10 @@ class RtTransport {
   // the regression test's witness that dedup memory stays bounded.
   std::size_t dedup_peak() const;
 
+  // Ops queued across all shards right now — the regression test's witness
+  // that retry scans do not pile up while sends stay pending.
+  std::size_t queued_ops() const;
+
  private:
   struct PendingSend {
     ProcessId from;
@@ -189,6 +195,7 @@ class RtTransport {
     std::priority_queue<Op, std::vector<Op>, std::greater<Op>> ops;
     bool scan_scheduled = false;
     std::chrono::steady_clock::time_point scan_at;
+    std::uint64_t scan_op = 0;  // op id of the live scan; others are stale
     std::size_t dedup_peak = 0;
     std::thread dispatcher;
   };
@@ -196,7 +203,7 @@ class RtTransport {
   std::size_t channel_index(ProcessId from, ProcessId to) const;
   Shard& shard_of(ProcessId a, ProcessId b);
   std::chrono::microseconds draw_delay(Rng& rng);
-  void push_op(Shard& sh, Op op);                       // sh.mu held
+  std::uint64_t push_op(Shard& sh, Op op);              // sh.mu held
   void ensure_scan(Shard& sh,
                    std::chrono::steady_clock::time_point at);  // sh.mu held
   void retire_locked(Shard& sh, std::uint64_t seq);     // sh.mu held

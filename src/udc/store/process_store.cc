@@ -78,12 +78,16 @@ void ProcessStore::append(Time t, const Event& e) {
       }
       writer_->set_sync_failing(sync_failing);
     }
+    // A due compaction runs BEFORE the append, so the frame that finds the
+    // tail full opens the new one: after the first rotation the WAL always
+    // holds at least the newest frame, and no kill finds it just emptied.
+    if (frames_since_snapshot_ >= opts_.snapshot_every) rotate_snapshot();
     // emplace builds the record once, in place — the WAL encoder then reads
     // it straight out of the mirror (no temporary, no second Event copy).
     const StoreRecord& rec = mirror_.emplace_back(t, e);
     const std::uint64_t unsynced = writer_->append(rec);
     ++counters_.wal_frames_appended;
-    if (++frames_since_snapshot_ >= opts_.snapshot_every) rotate_snapshot();
+    ++frames_since_snapshot_;
     kick = opts_.group_commit &&
            unsynced >= static_cast<std::uint64_t>(opts_.commit_every);
   }

@@ -5,15 +5,17 @@
 // The live runtime's TraceRecorder doubles as each process's in-memory
 // write-ahead log; a ProcessStore is that log made durable.  Every recorded
 // event is appended (under the recorder's per-process shard mutex, so the
-// durable order IS the recorded order); every `snapshot_every` frames the
-// WAL is compacted into an atomically-replaced snapshot.  When the
-// supervisor hard-kills a worker it applies any scripted StorageFault whose
-// window covers the kill tick (torn write, truncate-to-synced, bit flip,
-// short read, fsync failure) and then recovers: repair the WAL tail to its
-// longest valid frame prefix, load snapshot + tail, re-compact, and hand the
-// recovered event prefix to the restarted worker.  Anything the disk lost
-// is a SUFFIX of the process's history, which the recovery protocol
-// re-learns via supervisor re-inits and the kRejoin beacon (DESIGN.md §9).
+// durable order IS the recorded order); once `snapshot_every` frames have
+// accumulated, the next append first compacts the WAL into an
+// atomically-replaced snapshot, so a compaction never leaves it empty.
+// When the supervisor hard-kills a worker it applies any scripted
+// StorageFault whose window covers the kill tick (torn write,
+// truncate-to-synced, bit flip, short read, fsync failure) and then
+// recovers: repair the WAL tail to its longest valid frame prefix, load
+// snapshot + tail, re-compact, and hand the recovered event prefix to the
+// restarted worker.  Anything the disk lost is a SUFFIX of the process's
+// history, which the recovery protocol re-learns via supervisor re-inits
+// and the kRejoin beacon (DESIGN.md §9).
 //
 // Durability modes (DESIGN.md §10-§11): with `group_commit` off, the inline
 // FsyncPolicy decides when append() itself issues the barrier — the PR 4
@@ -36,9 +38,9 @@
 // ring; ACROSS stores, the committer holds many drain locks at once (in
 // attach order) and therefore must never take any store's mu_ while it
 // does — finish_commit is mutex-free by design.  flush()
-// arrives on the committer's flusher thread or on seal;
-// apply_kill_faults() / recover() on the supervisor thread strictly after
-// the worker is joined.
+// arrives on the committer's flusher thread, on seal, or from the service
+// node's worker (its durable-send gate); apply_kill_faults() / recover()
+// on the supervisor thread strictly after the worker is joined.
 #pragma once
 
 #include <atomic>
@@ -119,8 +121,12 @@ class ProcessStore {
   void append(Time t, const Event& e);
 
   // Commits the unsynced WAL tail, if any: drain + serial barrier.  Called
-  // on seal (flush_on_seal), at teardown, and by tests; the committer's
-  // batched rounds use start_commit/finish_commit instead.
+  // on seal (flush_on_seal), by the service node's durable-send gate, at
+  // teardown, and by tests; the committer's batched rounds use
+  // start_commit/finish_commit instead.  A round in flight holds the drain
+  // lock, so a concurrent flush() first waits it out, then barriers only
+  // what that round did not cover: on return, every frame appended before
+  // the call is durable (barring an injected kSyncFail window).
   void flush();
 
   // Two-phase commit for GroupCommitter::round().  start_commit pins the

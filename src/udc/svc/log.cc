@@ -117,10 +117,19 @@ bool ReplicatedLog::mark_applied(std::uint64_t slot) {
   return out_of_order;
 }
 
+// ready(), learn_floor() and uncommitted() start above the applied floor:
+// every slot at or below it exists, is applied and committed (mark_applied
+// sets both flags and only advances the floor over applied slots), and
+// accept() never rewrites or erases such a slot.  So skipping them changes
+// no result, and a pass costs O(slots in flight), not O(slots since boot).
 std::vector<std::uint64_t> ReplicatedLog::ready() const {
   std::vector<std::uint64_t> out;
-  for (const auto& [slot, e] : slots_) {
-    if (e.committed && !e.applied && applicable(slot)) out.push_back(slot);
+  for (auto it = slots_.upper_bound(applied_floor_); it != slots_.end();
+       ++it) {
+    const SvcLogEntry& e = it->second;
+    if (e.committed && !e.applied && applicable(it->first)) {
+      out.push_back(it->first);
+    }
   }
   return out;
 }
@@ -137,9 +146,9 @@ std::optional<std::uint64_t> ReplicatedLog::slot_of(ActionId action) const {
 }
 
 void ReplicatedLog::learn_floor(std::uint64_t f, std::uint64_t notice_term) {
-  for (auto& [slot, e] : slots_) {
-    if (slot > f) break;
-    if (e.batch.term == notice_term) e.committed = true;
+  for (auto it = slots_.upper_bound(applied_floor_);
+       it != slots_.end() && it->first <= f; ++it) {
+    if (it->second.batch.term == notice_term) it->second.committed = true;
   }
 }
 
@@ -158,8 +167,9 @@ std::vector<std::uint64_t> ReplicatedLog::applied_above_floor() const {
 
 std::vector<const SvcLogEntry*> ReplicatedLog::uncommitted() const {
   std::vector<const SvcLogEntry*> out;
-  for (const auto& [slot, e] : slots_) {
-    if (!e.committed) out.push_back(&e);
+  for (auto it = slots_.upper_bound(applied_floor_); it != slots_.end();
+       ++it) {
+    if (!it->second.committed) out.push_back(&it->second);
   }
   return out;
 }

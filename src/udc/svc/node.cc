@@ -83,11 +83,13 @@ struct Register {
   std::uint64_t version = 0;
 };
 
-// Worker input: one decoded frame with its sender, or the stop order.  The
-// svc node cannot reuse rt's Mailbox (RtMail carries model Messages); this
-// queue carries raw wire frames instead, same single-consumer discipline.
+// Worker input: one decoded frame with its sender, a replica peer's stream
+// coming up, or the stop order.  The svc node cannot reuse rt's Mailbox
+// (RtMail carries model Messages); this queue carries raw wire frames
+// instead, same single-consumer discipline.
 struct SvcMail {
   bool stop = false;
+  bool peer_up = false;  // `peer` just established; `frame` is empty
   ProcessId peer = kInvalidProcess;
   WireFrame frame;
 };
@@ -345,6 +347,11 @@ int run_svc_node(const SvcNodeOptions& opts) {
         if (peer == kSupervisorPeer) {
           sup_up.store(up, std::memory_order_relaxed);
           if (up) sup_ever_up.store(true, std::memory_order_relaxed);
+        } else if (up && peer >= 0 && peer < opts.n) {
+          SvcMail m;
+          m.peer_up = true;
+          m.peer = peer;
+          mail.push(std::move(m));
         }
       });
 
@@ -463,6 +470,9 @@ int run_svc_node(const SvcNodeOptions& opts) {
     rec.record(Event::init(b.action));
     my_inits.insert(b.action);
     seal_gate[slot] = rec.mirror_len();
+    // The WAL barrier for the kInit runs on the flusher thread while this
+    // thread fdatasyncs the service log below; pump_unsent joins it.
+    if (committer) committer->kick();
     slog.append(b);
     UDC_CHECK(log.accept(b), "svc node: own seal refused");
     log.ack(slot, opts.id);
@@ -480,10 +490,19 @@ int run_svc_node(const SvcNodeOptions& opts) {
     broadcast(FrameType::kSvcPropose, encode_svc_propose(p));
   };
 
+  // A gated front slot costs one flush(): under the WAL drain lock it joins
+  // the commit round already in flight or runs its own, so the propose
+  // leaves as soon as the kInit is on disk.
   auto pump_unsent = [&]() {
+    bool flushed = false;
     while (!unsent.empty()) {
       const std::uint64_t slot = unsent.front();
-      if (store.durable_floor() < gate_of(slot)) break;
+      if (store.durable_floor() < gate_of(slot)) {
+        if (flushed) break;
+        store.flush();
+        flushed = true;
+        continue;
+      }
       propose_slot(slot);
       unsent.pop_front();
     }
@@ -567,6 +586,14 @@ int run_svc_node(const SvcNodeOptions& opts) {
     last_notice_floor = ~std::uint64_t{0};  // force a fresh commit notice
   };
 
+  auto sync_req = [&]() {
+    SvcSyncReq req;
+    req.term = term;
+    req.clock = clock.now();
+    req.floor = log.applied_floor();
+    return encode_svc_sync_req(req);
+  };
+
   auto maybe_finish_sync = [&]() {
     if (syncing && sync_acks.size() * 2 > opts.n) finish_sync();
   };
@@ -596,11 +623,8 @@ int run_svc_node(const SvcNodeOptions& opts) {
     sync_started = std::chrono::steady_clock::now();
     ++svcc.svc_elections;
     ++svcc.svc_sync_rounds;
-    SvcSyncReq req;
-    req.term = term;
-    req.clock = clock.now();
-    req.floor = log.applied_floor();
-    broadcast(FrameType::kSvcSyncReq, encode_svc_sync_req(req));
+    // A peer not yet connected drops this; its peer-up mail re-sends.
+    broadcast(FrameType::kSvcSyncReq, sync_req());
     maybe_finish_sync();  // n == 1: a majority is just us
   };
 
@@ -950,6 +974,13 @@ int run_svc_node(const SvcNodeOptions& opts) {
     if (m) {
       if (m->stop) {
         stopping = true;
+      } else if (m->peer_up) {
+        // A cold-start leader's first sync broadcast reaches no one: its
+        // peers connect after it.  Re-send to each peer as it comes up
+        // instead of waiting out kSyncRetryAfter.
+        if (syncing && !sync_acks.contains(m->peer)) {
+          reactor.send(m->peer, FrameType::kSvcSyncReq, sync_req());
+        }
       } else if (m->peer == kSupervisorPeer) {
         if (m->frame.type == FrameType::kPeers) {
           if (auto p = decode_peers(m->frame.payload.data(),
@@ -1098,12 +1129,7 @@ int run_svc_node(const SvcNodeOptions& opts) {
       // while one response is already in flight just multiply frames.
       if (commit_floor_learned > log.applied_floor() &&
           wall >= next_catchup) {
-        SvcSyncReq req;
-        req.term = term;
-        req.clock = clock.now();
-        req.floor = log.applied_floor();
-        reactor.send(leader, FrameType::kSvcSyncReq,
-                     encode_svc_sync_req(req));
+        reactor.send(leader, FrameType::kSvcSyncReq, sync_req());
         ++svcc.svc_sync_rounds;
         next_catchup = wall + 5 * opts.resend_interval;
       }

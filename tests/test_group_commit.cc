@@ -135,6 +135,40 @@ TEST(GroupCommit, StopIsAFinalBarrier) {
   }
 }
 
+TEST(GroupCommit, FlushJoinsOrRunsARoundWhileTheFlusherRuns) {
+  // The service's durable-send gate: a worker appends a kInit, kicks the
+  // committer, then flush()es.  Under the WAL drain lock that flush either
+  // joins the round the kick started or runs its own; either way it may
+  // return only once the durable floor covers every frame appended before
+  // the call.  The long interval leaves the kicks as the flusher's only
+  // trigger, so the worker's flushes race its rounds.
+  ProcessStore store(fresh_dir("flush_race").string(), 0,
+                     gc_opts(/*commit_every=*/1'000'000,
+                             std::chrono::seconds(100)),
+                     {});
+  GroupCommitter committer;
+  committer.attach(&store);
+  int uncovered = 0;
+  std::thread worker([&] {
+    Rng rng(11);
+    std::size_t appended = 0;
+    for (int i = 0; i < 400; ++i) {
+      const std::uint64_t frames = 1 + rng.next_below(4);
+      for (std::uint64_t k = 0; k < frames; ++k) {
+        ++appended;
+        store.append(static_cast<Time>(appended), Event::do_action(1));
+      }
+      committer.kick();
+      if (rng.next_below(2) == 0) std::this_thread::yield();
+      store.flush();
+      if (store.durable_floor() < appended) ++uncovered;
+    }
+  });
+  worker.join();
+  committer.stop();
+  EXPECT_EQ(uncovered, 0);
+}
+
 TEST(GroupCommit, StopIsIdempotent) {
   ProcessStore store(fresh_dir("idem").string(), 0,
                      gc_opts(8, std::chrono::microseconds(500)), {});

@@ -3,6 +3,8 @@
 // protocols, and epistemic laws on generated systems.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "udc/common/rng.h"
 #include "udc/coord/action.h"
 #include "udc/coord/nudc_protocol.h"
@@ -27,8 +29,12 @@ namespace {
 // ---------------------------------------------------------------------------
 // Sweep 1: UDC protocols across (n, drop).
 // ---------------------------------------------------------------------------
+// gtest prints a struct parameter as a byte dump, and ctest's test name
+// carries that dump, so the struct must have no padding: a 32-bit n would
+// leave four bytes of stack garbage before `drop` and rename the case at
+// every test discovery.
 struct UdcSweepParam {
-  int n;
+  std::int64_t n;
   double drop;
   const char* detector;  // "perfect" | "strong" | "t-useful"
 };
@@ -41,15 +47,16 @@ class UdcGrid : public ::testing::TestWithParam<UdcSweepParam> {};
 
 TEST_P(UdcGrid, AchievesUdcAcrossCrashPlans) {
   const UdcSweepParam param = GetParam();
+  const int n = static_cast<int>(param.n);
   SimConfig cfg;
-  cfg.n = param.n;
+  cfg.n = n;
   cfg.horizon = param.drop >= 0.5 ? 800 : 500;
   cfg.channel.drop_prob = param.drop;
   const Time grace = param.drop >= 0.5 ? 300 : 180;
-  auto workload = make_workload(param.n, 1, 5, 7);
+  auto workload = make_workload(n, 1, 5, 7);
   auto actions = workload_actions(workload);
-  int t = det_is_majority(param.detector) ? (param.n - 1) / 2 : param.n - 1;
-  auto plans = all_crash_plans_up_to(param.n, t, 25, 120);
+  int t = det_is_majority(param.detector) ? (n - 1) / 2 : n - 1;
+  auto plans = all_crash_plans_up_to(n, t, 25, 120);
 
   OracleFactory oracle;
   ProtocolFactory protocol;
@@ -72,7 +79,7 @@ TEST_P(UdcGrid, AchievesUdcAcrossCrashPlans) {
       return std::make_unique<UdcMajorityProcess>();
     };
   } else {
-    int t = param.n - 1;
+    int t = n - 1;
     oracle = [t] { return std::make_unique<TUsefulOracle>(t, 4, 1); };
     protocol = [t](ProcessId) {
       return std::make_unique<UdcGeneralizedProcess>(t);

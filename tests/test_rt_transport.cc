@@ -147,6 +147,27 @@ TEST(RtTransport, AbandonToDropsPendingTrafficTowardADeadProcess) {
   EXPECT_EQ(c.delivered, 0u);
 }
 
+TEST(RtTransport, RetryScansDoNotPileUpWhileSendsStayPending) {
+  Sink sink;
+  sink.down.insert(1);  // refuses forever, like a permanently crashed worker
+  RtTransport tr(2, fast_opts(), std::make_shared<IidDropPolicy>(0.0),
+                 /*seed=*/21, [] { return Time{0}; }, sink.fn());
+  const std::size_t kPending = 8;
+  for (std::size_t i = 0; i < kPending; ++i) {
+    tr.send(0, 1, app_msg(static_cast<std::int64_t>(i)));
+  }
+  // Hundreds of retries with interleaved backoff deadlines, each of which
+  // can supersede the queued scan.  A superseded scan that ran anyway would
+  // re-arm another, and the queue would grow while the sends stay pending.
+  ASSERT_TRUE(wait_for([&] { return tr.counters().retransmits >= 400; },
+                       milliseconds(10'000)));
+  // What may be queued: a delivery attempt per pending send, the live
+  // scan, and scans superseded within the last backoff period (at most
+  // one per retry or scan in it).
+  EXPECT_LE(tr.queued_ops(), 4 * kPending);
+  EXPECT_EQ(sink.count(), 0u);
+}
+
 TEST(RtTransport, MaxAttemptsGivesUpDeterministically) {
   Sink sink;
   RtTransportOptions o = fast_opts();

@@ -113,7 +113,8 @@ TEST(StoreProcess, RotatesSnapshotsAndRecoversSnapshotPlusTail) {
   ProcessStore store(dir.string(), /*p=*/0, opts, /*faults=*/{});
   std::vector<StoreRecord> recs = records_upto(10);
   for (const StoreRecord& r : recs) store.append(r.t, r.e);
-  // Rotations at frames 4 and 8; two tail frames remain in the WAL.
+  // Snapshots of frames 1-4 and 1-8, written as frames 5 and 9 arrive; two
+  // tail frames remain in the WAL.
   EXPECT_EQ(store.counters().snapshots_written, 2u);
 
   Rng rng(3);
@@ -124,6 +125,27 @@ TEST(StoreProcess, RotatesSnapshotsAndRecoversSnapshotPlusTail) {
   EXPECT_EQ(store.counters().wal_frames_replayed, 2u);
   EXPECT_EQ(store.counters().recoveries_total, 1u);
   EXPECT_EQ(store.counters().torn_tails_truncated, 0u);
+  fs::remove_all(dir);
+}
+
+// A kill right after the frame that fills the tail: the compaction that
+// frame made due runs on the next append, so recovery still replays a tail
+// instead of finding the WAL just emptied.
+TEST(StoreProcess, AFullTailIsCompactedByTheNextAppendNotTheLast) {
+  fs::path dir = fresh_dir("full_tail");
+  StoreOptions opts;
+  opts.fsync = FsyncPolicy::kEveryAppend;
+  opts.snapshot_every = 4;
+  ProcessStore store(dir.string(), /*p=*/0, opts, /*faults=*/{});
+  std::vector<StoreRecord> recs = records_upto(8);
+  for (const StoreRecord& r : recs) store.append(r.t, r.e);
+  EXPECT_EQ(store.counters().snapshots_written, 1u);  // frames 1-4
+
+  Rng rng(5);
+  store.apply_kill_faults(/*kill_time=*/9, rng);  // no faults scripted
+  EXPECT_EQ(store.recover(), recs);
+  EXPECT_EQ(store.counters().snapshots_loaded, 1u);
+  EXPECT_EQ(store.counters().wal_frames_replayed, 4u);
   fs::remove_all(dir);
 }
 

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
+#include "udc/common/rng.h"
 #include "udc/coord/action.h"
 
 namespace udc {
@@ -260,6 +262,141 @@ TEST(ReplicatedLog, UncommittedListsLowestFirst) {
   EXPECT_EQ(unc[0]->batch.slot, 2u);
   EXPECT_EQ(unc[1]->batch.slot, 8u);
   EXPECT_EQ(log.max_slot(), 8u);
+}
+
+// Reference views that scan EVERY slot from 1 to max_slot, ignoring the
+// applied floor.
+std::vector<std::uint64_t> ready_full_scan(const ReplicatedLog& log) {
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t s = 1; s <= log.max_slot(); ++s) {
+    const SvcLogEntry* e = log.entry(s);
+    if (e != nullptr && e->committed && !e->applied && log.applicable(s)) {
+      out.push_back(s);
+    }
+  }
+  return out;
+}
+
+std::vector<const SvcLogEntry*> uncommitted_full_scan(
+    const ReplicatedLog& log) {
+  std::vector<const SvcLogEntry*> out;
+  for (std::uint64_t s = 1; s <= log.max_slot(); ++s) {
+    const SvcLogEntry* e = log.entry(s);
+    if (e != nullptr && !e->committed) out.push_back(e);
+  }
+  return out;
+}
+
+std::vector<bool> committed_flags(const ReplicatedLog& log) {
+  std::vector<bool> out(log.max_slot() + 1, false);
+  for (std::uint64_t s = 1; s <= log.max_slot(); ++s) {
+    const SvcLogEntry* e = log.entry(s);
+    out[s] = e != nullptr && e->committed;
+  }
+  return out;
+}
+
+SvcBatch random_batch(Rng& rng, std::uint64_t slot, std::uint64_t term,
+                      ActionId action) {
+  SvcBatch b;
+  b.slot = slot;
+  b.term = term;
+  b.action = action;
+  const std::uint64_t ops = rng.next_below(3);  // no-op batches included
+  for (std::uint64_t i = 0; i < ops; ++i) {
+    SvcOp op;
+    op.session = rng.next_below(12);
+    op.seq = 1;
+    op.kind = SvcOpKind::kWrite;
+    op.reg = static_cast<std::int32_t>(rng.next_below(12));
+    op.value = 1;
+    b.ops.push_back(op);
+  }
+  return b;
+}
+
+TEST(ReplicatedLog, FloorBoundedScansEqualFullScans) {
+  // ready(), uncommitted() and learn_floor() start at the applied floor.
+  // Random accept (displacement and known_committed included), ack,
+  // mark_committed, learn_floor and in- or out-of-order mark_applied
+  // sequences must leave them indistinguishable from full scans.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    ReplicatedLog log;
+    std::vector<ActionId> actions;
+    std::uint64_t term = 1;
+    for (int step = 0; step < 7'000; ++step) {
+      const std::uint64_t floor = log.applied_floor();
+      const std::uint64_t span = log.max_slot() - floor + 3;
+      const std::uint64_t near =
+          floor + 1 + rng.next_below(std::min<std::uint64_t>(span, 8));
+      const std::uint64_t r = rng.next_below(100);
+      if (r < 40) {
+        // Mostly past the end (sometimes leaving a hole; at most 16 slots
+        // in flight, like the node's admission cap) or among the slots in
+        // flight; sometimes an applied slot (must refuse), an older term,
+        // or an action that already sits at another slot.
+        const std::uint64_t where = rng.next_below(10);
+        std::uint64_t slot = near;
+        if (where == 0 && floor > 0) {
+          slot = 1 + rng.next_below(floor);
+        } else if (where < 6 && span < 16) {
+          slot = log.max_slot() + (rng.next_below(8) == 0 ? 2 : 1);
+        }
+        const std::uint64_t t =
+            rng.next_below(5) == 0 && term > 1 ? term - 1 : term;
+        ActionId a = make_action(0, actions.size());
+        if (!actions.empty() && rng.next_below(10) == 0) {
+          a = actions[rng.next_below(actions.size())];
+        } else {
+          actions.push_back(a);
+        }
+        (void)log.accept(random_batch(rng, slot, t, a),
+                         /*known_committed=*/rng.next_below(10) == 0);
+      } else if (r < 45) {
+        log.ack(near, static_cast<ProcessId>(rng.next_below(3)));
+      } else if (r < 60) {
+        log.mark_committed(floor + 1);
+        log.mark_committed(near);
+      } else if (r < 70) {
+        const std::uint64_t f = floor + rng.next_below(span);
+        const std::uint64_t t =
+            term - rng.next_below(std::min<std::uint64_t>(term, 3));
+        std::vector<bool> want = committed_flags(log);
+        for (std::uint64_t s = 1; s <= log.max_slot() && s <= f; ++s) {
+          const SvcLogEntry* e = log.entry(s);
+          if (e != nullptr && e->batch.term == t) want[s] = true;
+        }
+        log.learn_floor(f, t);
+        ASSERT_EQ(committed_flags(log), want) << "step " << step;
+      } else if (r < 72) {
+        ++term;  // a new leadership
+      } else {
+        // Drain like the node's apply loop, lowest-first or in random order.
+        const bool in_order = rng.next_below(2) == 0;
+        for (auto ready = log.ready(); !ready.empty(); ready = log.ready()) {
+          log.mark_applied(in_order ? ready.front()
+                                    : ready[rng.next_below(ready.size())]);
+        }
+      }
+      // The premise: every slot at or below the floor is applied and
+      // committed, so nothing there can change any of the three results.
+      if (step % 64 == 0) {
+        for (std::uint64_t s = 1; s <= log.applied_floor(); ++s) {
+          const SvcLogEntry* e = log.entry(s);
+          ASSERT_TRUE(e != nullptr && e->applied && e->committed)
+              << "step " << step << " slot " << s;
+        }
+      }
+      ASSERT_EQ(log.ready(), ready_full_scan(log)) << "step " << step;
+      ASSERT_EQ(log.uncommitted(), uncommitted_full_scan(log))
+          << "step " << step;
+    }
+    // The sequence must reach well past the in-flight window, or the
+    // bounded scans were never bounded.
+    EXPECT_GT(log.applied_floor(), 1'000u);
+  }
 }
 
 }  // namespace
