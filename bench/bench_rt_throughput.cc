@@ -199,8 +199,7 @@ void durable_throughput(benchmark::State& state, const StoreOptions& opts,
     Recorder rec(n, &sink);
     // Same wiring as run_live: the committer takes its engine from the
     // store options so the measured pipeline is the shipping one.
-    GroupCommitter committer(
-        GroupCommitOptions{opts.barrier, opts.flusher_threads});
+    GroupCommitter committer(GroupCommitOptions{opts.flusher_threads});
     if (group_commit) {
       for (auto& s : stores) committer.attach(s.get());
     }
@@ -223,7 +222,7 @@ StoreOptions inline_opts(FsyncPolicy policy, int every) {
 StoreOptions group_opts() {
   // The shipping runtime configuration (rt_default_store_options):
   // segmented WAL, ring-staged appends, batched barrier rounds through the
-  // pinned flusher pool (see the engine note in rt/runtime.h).
+  // pinned flusher pool (see the engine note in store/sync_barrier.h).
   StoreOptions o;
   o.group_commit = true;
   o.segment_bytes = 256 * 1024;
@@ -231,7 +230,6 @@ StoreOptions group_opts() {
   o.commit_every = 1024;
   o.commit_interval = std::chrono::microseconds{5'000};
   o.snapshot_every = 1024;
-  o.barrier = CommitBarrier::kPool;
   return o;
 }
 

@@ -70,95 +70,63 @@ Time last_send_time(const Run& r) {
 }
 
 void RuntimeCounters::merge(const RuntimeCounters& other) {
-  sends += other.sends;
-  delivered += other.delivered;
-  drops += other.drops;
-  retransmits += other.retransmits;
-  acks += other.acks;
-  abandoned += other.abandoned;
-  heartbeats += other.heartbeats;
-  dedup_suppressed += other.dedup_suppressed;
-  acks_piggybacked += other.acks_piggybacked;
-  suspicions += other.suspicions;
-  false_suspicions += other.false_suspicions;
-  trust_restores += other.trust_restores;
-  crashes += other.crashes;
-  restarts += other.restarts;
-  events_recorded += other.events_recorded;
-  wal_frames_replayed += other.wal_frames_replayed;
-  snapshots_written += other.snapshots_written;
-  snapshots_loaded += other.snapshots_loaded;
-  torn_tails_truncated += other.torn_tails_truncated;
-  recoveries_total += other.recoveries_total;
-  storage_faults_injected += other.storage_faults_injected;
-  sync_failures += other.sync_failures;
-  wal_group_commits += other.wal_group_commits;
-  mailbox_refused += other.mailbox_refused;
-  connects += other.connects;
-  reconnects += other.reconnects;
-  handshake_rejects += other.handshake_rejects;
-  frames_tx += other.frames_tx;
-  frames_rx += other.frames_rx;
-  crc_drops += other.crc_drops;
-  wire_resyncs += other.wire_resyncs;
-  wire_drops += other.wire_drops;
-  partitions_enforced += other.partitions_enforced;
-  svc_requests += other.svc_requests;
-  svc_admitted += other.svc_admitted;
-  svc_dups_suppressed += other.svc_dups_suppressed;
-  svc_retry_later += other.svc_retry_later;
-  svc_redirects += other.svc_redirects;
-  svc_batches_sealed += other.svc_batches_sealed;
-  svc_batches_committed += other.svc_batches_committed;
-  svc_ooo_commits += other.svc_ooo_commits;
-  svc_elections += other.svc_elections;
-  svc_sync_rounds += other.svc_sync_rounds;
-  svc_adoptions += other.svc_adoptions;
-  svc_lease_reads += other.svc_lease_reads;
-  svc_lease_denied += other.svc_lease_denied;
+  for (const RuntimeCounterField& f : kRuntimeCounterFields) {
+    this->*f.field += other.*f.field;
+  }
+}
+
+namespace {
+
+constexpr std::size_t kCounterRows = std::size(kRuntimeCounterFields);
+
+std::vector<std::uint64_t> pack_rows(const RuntimeCounters& c,
+                                     std::size_t begin, std::size_t end) {
+  std::vector<std::uint64_t> v;
+  v.reserve(end - begin);
+  for (std::size_t i = begin; i < end; ++i) {
+    v.push_back(c.*kRuntimeCounterFields[i].field);
+  }
+  return v;
+}
+
+void unpack_rows(const std::vector<std::uint64_t>& v, std::size_t offset,
+                 std::size_t begin, std::size_t end, RuntimeCounters* c) {
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t slot = offset + (i - begin);
+    c->*kRuntimeCounterFields[i].field =
+        slot < v.size() ? static_cast<std::size_t>(v[slot]) : 0;
+  }
+}
+
+}  // namespace
+
+std::vector<std::uint64_t> pack_node_counters(const RuntimeCounters& c) {
+  return pack_rows(c, 0, kNodeCounterSlots);
+}
+
+RuntimeCounters unpack_node_counters(const std::vector<std::uint64_t>& v) {
+  RuntimeCounters c;
+  unpack_rows(v, 0, 0, kNodeCounterSlots, &c);
+  return c;
+}
+
+std::vector<std::uint64_t> pack_svc_counters(const RuntimeCounters& c) {
+  return pack_rows(c, kNodeCounterSlots, kCounterRows);
+}
+
+void unpack_svc_counters(const std::vector<std::uint64_t>& v,
+                         std::size_t offset, RuntimeCounters* c) {
+  unpack_rows(v, offset, kNodeCounterSlots, kCounterRows, c);
 }
 
 std::string format_runtime_counters(const RuntimeCounters& c) {
+  // The service block prints only for runs that served client traffic.
+  const bool svc = c.svc_requests || c.svc_batches_sealed || c.svc_elections;
   std::ostringstream out;
-  out << "sends=" << c.sends << " delivered=" << c.delivered
-      << " drops=" << c.drops << " retransmits=" << c.retransmits
-      << " acks=" << c.acks << " abandoned=" << c.abandoned
-      << " heartbeats=" << c.heartbeats
-      << " dedup_suppressed=" << c.dedup_suppressed
-      << " acks_piggybacked=" << c.acks_piggybacked
-      << " suspicions=" << c.suspicions
-      << " false_suspicions=" << c.false_suspicions
-      << " trust_restores=" << c.trust_restores << " crashes=" << c.crashes
-      << " restarts=" << c.restarts << " events=" << c.events_recorded
-      << " wal_replayed=" << c.wal_frames_replayed
-      << " snapshots_written=" << c.snapshots_written
-      << " snapshots_loaded=" << c.snapshots_loaded
-      << " torn_tails=" << c.torn_tails_truncated
-      << " recoveries=" << c.recoveries_total
-      << " storage_faults=" << c.storage_faults_injected
-      << " sync_failures=" << c.sync_failures
-      << " group_commits=" << c.wal_group_commits
-      << " mailbox_refused=" << c.mailbox_refused
-      << " connects=" << c.connects << " reconnects=" << c.reconnects
-      << " handshake_rejects=" << c.handshake_rejects
-      << " frames_tx=" << c.frames_tx << " frames_rx=" << c.frames_rx
-      << " crc_drops=" << c.crc_drops << " wire_resyncs=" << c.wire_resyncs
-      << " wire_drops=" << c.wire_drops
-      << " partitions_enforced=" << c.partitions_enforced;
-  if (c.svc_requests || c.svc_batches_sealed || c.svc_elections) {
-    out << " svc_requests=" << c.svc_requests
-        << " svc_admitted=" << c.svc_admitted
-        << " svc_dups_suppressed=" << c.svc_dups_suppressed
-        << " svc_retry_later=" << c.svc_retry_later
-        << " svc_redirects=" << c.svc_redirects
-        << " svc_sealed=" << c.svc_batches_sealed
-        << " svc_committed=" << c.svc_batches_committed
-        << " svc_ooo_commits=" << c.svc_ooo_commits
-        << " svc_elections=" << c.svc_elections
-        << " svc_sync_rounds=" << c.svc_sync_rounds
-        << " svc_adoptions=" << c.svc_adoptions
-        << " svc_lease_reads=" << c.svc_lease_reads
-        << " svc_lease_denied=" << c.svc_lease_denied;
+  const std::size_t rows = svc ? kCounterRows : kNodeCounterSlots;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const RuntimeCounterField& f = kRuntimeCounterFields[i];
+    out << (i == 0 ? "" : " ") << f.key << '=' << c.*f.field;
   }
   return out.str();
 }

@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <string>
@@ -115,6 +117,82 @@ struct RuntimeCounters {
 
   void merge(const RuntimeCounters& other);
 };
+
+// One row per RuntimeCounters field, in declaration order: the key
+// format_runtime_counters prints and the member it names.  merge, the
+// formatter and the status-frame pack/unpack all walk this table, so a new
+// counter is one field plus one row.
+struct RuntimeCounterField {
+  const char* key;
+  std::size_t RuntimeCounters::*field;
+};
+
+inline constexpr RuntimeCounterField kRuntimeCounterFields[] = {
+    {"sends", &RuntimeCounters::sends},
+    {"delivered", &RuntimeCounters::delivered},
+    {"drops", &RuntimeCounters::drops},
+    {"retransmits", &RuntimeCounters::retransmits},
+    {"acks", &RuntimeCounters::acks},
+    {"abandoned", &RuntimeCounters::abandoned},
+    {"heartbeats", &RuntimeCounters::heartbeats},
+    {"dedup_suppressed", &RuntimeCounters::dedup_suppressed},
+    {"acks_piggybacked", &RuntimeCounters::acks_piggybacked},
+    {"suspicions", &RuntimeCounters::suspicions},
+    {"false_suspicions", &RuntimeCounters::false_suspicions},
+    {"trust_restores", &RuntimeCounters::trust_restores},
+    {"crashes", &RuntimeCounters::crashes},
+    {"restarts", &RuntimeCounters::restarts},
+    {"events", &RuntimeCounters::events_recorded},
+    {"wal_replayed", &RuntimeCounters::wal_frames_replayed},
+    {"snapshots_written", &RuntimeCounters::snapshots_written},
+    {"snapshots_loaded", &RuntimeCounters::snapshots_loaded},
+    {"torn_tails", &RuntimeCounters::torn_tails_truncated},
+    {"recoveries", &RuntimeCounters::recoveries_total},
+    {"storage_faults", &RuntimeCounters::storage_faults_injected},
+    {"sync_failures", &RuntimeCounters::sync_failures},
+    {"group_commits", &RuntimeCounters::wal_group_commits},
+    {"mailbox_refused", &RuntimeCounters::mailbox_refused},
+    {"connects", &RuntimeCounters::connects},
+    {"reconnects", &RuntimeCounters::reconnects},
+    {"handshake_rejects", &RuntimeCounters::handshake_rejects},
+    {"frames_tx", &RuntimeCounters::frames_tx},
+    {"frames_rx", &RuntimeCounters::frames_rx},
+    {"crc_drops", &RuntimeCounters::crc_drops},
+    {"wire_resyncs", &RuntimeCounters::wire_resyncs},
+    {"wire_drops", &RuntimeCounters::wire_drops},
+    {"partitions_enforced", &RuntimeCounters::partitions_enforced},
+    {"svc_requests", &RuntimeCounters::svc_requests},
+    {"svc_admitted", &RuntimeCounters::svc_admitted},
+    {"svc_dups_suppressed", &RuntimeCounters::svc_dups_suppressed},
+    {"svc_retry_later", &RuntimeCounters::svc_retry_later},
+    {"svc_redirects", &RuntimeCounters::svc_redirects},
+    {"svc_sealed", &RuntimeCounters::svc_batches_sealed},
+    {"svc_committed", &RuntimeCounters::svc_batches_committed},
+    {"svc_ooo_commits", &RuntimeCounters::svc_ooo_commits},
+    {"svc_elections", &RuntimeCounters::svc_elections},
+    {"svc_sync_rounds", &RuntimeCounters::svc_sync_rounds},
+    {"svc_adoptions", &RuntimeCounters::svc_adoptions},
+    {"svc_lease_reads", &RuntimeCounters::svc_lease_reads},
+    {"svc_lease_denied", &RuntimeCounters::svc_lease_denied},
+};
+static_assert(std::size(kRuntimeCounterFields) * sizeof(std::size_t) ==
+                  sizeof(RuntimeCounters),
+              "every RuntimeCounters field needs a kRuntimeCounterFields row");
+
+// Status frames carry the table as two blocks: every node packs the rows
+// before kNodeCounterSlots, and a service replica appends the service rows
+// (from svc_requests on) after them.  Unpacking reads a missing slot as 0.
+inline constexpr std::size_t kNodeCounterSlots = 33;
+static_assert(kRuntimeCounterFields[kNodeCounterSlots].field ==
+              &RuntimeCounters::svc_requests);
+
+std::vector<std::uint64_t> pack_node_counters(const RuntimeCounters& c);
+RuntimeCounters unpack_node_counters(const std::vector<std::uint64_t>& v);
+std::vector<std::uint64_t> pack_svc_counters(const RuntimeCounters& c);
+// Unpacks the service rows from `v` starting at `offset` (the node block's
+// length in a status frame) into the matching fields of `c`.
+void unpack_svc_counters(const std::vector<std::uint64_t>& v,
+                         std::size_t offset, RuntimeCounters* c);
 
 // Transport-plane counters as RELAXED ATOMICS: the data path bumps them
 // lock-free from every dispatcher shard, and counters() snapshots them

@@ -1,17 +1,8 @@
 #include "udc/rt/remote/fleet.h"
 
-#include <fcntl.h>
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -19,42 +10,16 @@
 
 #include "udc/common/check.h"
 #include "udc/coord/action.h"
-#include "udc/event/event.h"
-#include "udc/net/reactor.h"
 #include "udc/net/wire.h"
+#include "udc/rt/remote/supervisor.h"
 #include "udc/rt/runtime.h"
-#include "udc/store/process_store.h"
 
 namespace udc {
 
 namespace {
 
-// Everything the reactor thread learns about one node, mutex-shared with
-// the supervisor loop.
-struct NodeView {
-  bool up = false;
-  std::uint64_t epoch = 0;        // epoch of the established stream
-  std::uint16_t data_port = 0;    // from the node's hello
-  bool have_status = false;
-  WireStatus status;              // latest durable-state report
-  bool done = false;              // final report seen
-};
-
-struct Child {
-  pid_t pid = -1;
-  std::uint64_t epoch = 0;
-  bool running = false;
-  bool killed_by_us = false;     // SIGKILL we sent (chaos, not failure)
-  bool permanently_dead = false; // killed, no relaunch coming
-  bool awaiting_relaunch = false;
-  Time relaunch_at = 0;          // fleet tick
-  int exit_status = 0;           // raw waitpid status once reaped
-  bool reaped = false;
-};
-
-std::vector<std::string> node_argv(const FleetOptions& opts, ProcessId id,
-                                   std::uint64_t epoch, std::uint64_t run_id,
-                                   std::uint16_t sup_port,
+// The rt node's own flags; the supervisor adds identity, epoch and seed.
+std::vector<std::string> node_args(const FleetOptions& opts,
                                    const std::string& script_path) {
   auto arg = [](const std::string& k, const auto& v) {
     std::ostringstream os;
@@ -62,48 +27,15 @@ std::vector<std::string> node_argv(const FleetOptions& opts, ProcessId id,
     return os.str();
   };
   std::vector<std::string> a;
-  a.push_back(opts.node_binary);
-  a.push_back(arg("--id", id));
-  a.push_back(arg("--n", opts.n));
   a.push_back(arg("--t", opts.t));
   a.push_back(arg("--protocol", opts.protocol));
   a.push_back(arg("--resend-interval", opts.resend_interval));
-  a.push_back(arg("--epoch", epoch));
-  a.push_back(arg("--run-id", run_id));
-  a.push_back(arg("--supervisor-port", sup_port));
   a.push_back(arg("--wal-dir", opts.run_dir));
   if (!script_path.empty()) a.push_back(arg("--script", script_path));
   a.push_back(arg("--background-drop", opts.background_drop));
-  a.push_back(arg("--seed", opts.seed + 0x9e37u * (std::uint64_t)(id + 1) +
-                               epoch));
   a.push_back(arg("--hb-interval", opts.heartbeat.interval));
   a.push_back(arg("--hb-timeout", opts.heartbeat.initial_timeout));
   return a;
-}
-
-pid_t spawn_node(const std::vector<std::string>& argv,
-                 const std::string& log_path) {
-  std::vector<char*> cargv;
-  cargv.reserve(argv.size() + 1);
-  for (const std::string& s : argv) {
-    cargv.push_back(const_cast<char*>(s.c_str()));
-  }
-  cargv.push_back(nullptr);
-
-  pid_t pid = ::fork();
-  UDC_CHECK(pid >= 0, "fleet: fork failed");
-  if (pid == 0) {
-    // Child: own log file (appended across relaunches), then exec.
-    int fd = ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (fd >= 0) {
-      ::dup2(fd, STDOUT_FILENO);
-      ::dup2(fd, STDERR_FILENO);
-      if (fd > STDERR_FILENO) ::close(fd);
-    }
-    ::execv(cargv[0], cargv.data());
-    _exit(127);  // exec failed; the supervisor sees a dirty exit
-  }
-  return pid;
 }
 
 }  // namespace
@@ -144,90 +76,11 @@ FleetVerdict run_fleet(const FleetOptions& opts) {
       UDC_CHECK(out.good(), "fleet: cannot write script file");
     }
   }
-  // One fleet = one run id: strays from an earlier run on a recycled port
-  // fail the handshake instead of injecting foreign frames.
-  const std::uint64_t run_id =
-      (static_cast<std::uint64_t>(::getpid()) << 32) ^ opts.seed ^
-      0x666c656574ull;  // "fleet"
 
-  // --- control plane --------------------------------------------------------
-  std::mutex mu;
-  std::vector<NodeView> views(static_cast<std::size_t>(opts.n));
-  // Latest counters per (node, epoch): dead incarnations keep their tallies.
-  std::map<std::pair<ProcessId, std::uint64_t>, RuntimeCounters> counters_by;
-  bool directory_dirty = false;
-
-  ReactorOptions ropts;
-  ropts.self = kSupervisorPeer;
-  ropts.n = opts.n;
-  ropts.run_id = run_id;
-  ropts.seed = opts.seed ^ 0x73757065ull;  // "supe"
-  Reactor reactor(
-      ropts,
-      [&](ProcessId peer, std::uint64_t epoch, const WireFrame& f) {
-        if (f.type != FrameType::kStatus || peer < 0 || peer >= opts.n) {
-          return;
-        }
-        auto s = decode_status(f.payload.data(), f.payload.size());
-        if (!s || s->id != peer) return;
-        std::lock_guard<std::mutex> lk(mu);
-        NodeView& v = views[static_cast<std::size_t>(peer)];
-        v.have_status = true;
-        v.status = *s;
-        if (s->done) v.done = true;
-        counters_by[{peer, epoch}] = unpack_node_counters(s->counters);
-      },
-      [&](ProcessId peer, std::uint64_t epoch, bool up,
-          std::uint16_t data_port) {
-        if (peer < 0 || peer >= opts.n) return;
-        std::lock_guard<std::mutex> lk(mu);
-        NodeView& v = views[static_cast<std::size_t>(peer)];
-        v.up = up;
-        if (up) {
-          v.epoch = epoch;
-          v.data_port = data_port;
-          directory_dirty = true;  // rebroadcast ports to everyone
-        }
-      });
-  const std::uint16_t sup_port = reactor.listen(0);
-  reactor.start();
-
-  // --- the fleet ------------------------------------------------------------
-  std::vector<Child> children(static_cast<std::size_t>(opts.n));
-  auto launch = [&](ProcessId p, std::uint64_t epoch) {
-    Child& c = children[static_cast<std::size_t>(p)];
-    c.epoch = epoch;
-    // Fresh incarnation, fresh exit accounting: a stale killed_by_us from a
-    // chaos SIGKILL of the previous incarnation must not excuse THIS one
-    // from the clean_exits check if it dies on its own.
-    c.killed_by_us = false;
-    c.reaped = false;
-    c.exit_status = 0;
-    c.pid = spawn_node(
-        node_argv(opts, p, epoch, run_id, sup_port, script_path),
-        (std::filesystem::path(opts.run_dir) /
-         ("node-" + std::to_string(p) + ".log"))
-            .string());
-    c.running = true;
-    c.awaiting_relaunch = false;
-  };
-  for (ProcessId p = 0; p < opts.n; ++p) launch(p, 0);
-
-  auto hard_kill = [&](ProcessId p) {
-    Child& c = children[static_cast<std::size_t>(p)];
-    if (!c.running) return;
-    ::kill(c.pid, SIGKILL);
-    int st = 0;
-    ::waitpid(c.pid, &st, 0);
-    c.exit_status = st;
-    c.reaped = true;
-    c.running = false;
-    c.killed_by_us = true;
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      views[static_cast<std::size_t>(p)].up = false;
-    }
-  };
+  FleetSupervisor<WireStatus> sup(
+      opts.n, opts.run_dir, opts.node_binary, node_args(opts, script_path),
+      opts.seed, FrameType::kStatus, decode_status,
+      [](const WireStatus& s) { return unpack_node_counters(s.counters); });
 
   struct DirectiveState {
     InitDirective d;
@@ -244,6 +97,15 @@ FleetVerdict run_fleet(const FleetOptions& opts) {
   std::vector<CrashState> crashes;
   for (const CrashInjection& c : script.crashes) crashes.push_back({c});
 
+  // Scripted crashes: SIGKILL, then either permanent (verdict checks DC2 /
+  // UDC) or relaunched `restart_after` fleet ticks later (DC2' / nUDC).
+  std::vector<Time> relaunch_at(static_cast<std::size_t>(opts.n), 0);
+  auto crash = [&](ProcessId victim, Time fleet_tick) {
+    sup.kill(victim, opts.restartable_crashes);
+    relaunch_at[static_cast<std::size_t>(victim)] =
+        fleet_tick + opts.restart_after;
+  };
+
   std::set<ProcessId> perform_kills_pending(opts.kill_after_perform.begin(),
                                             opts.kill_after_perform.end());
   const bool has_perform_kills = !perform_kills_pending.empty();
@@ -251,8 +113,6 @@ FleetVerdict run_fleet(const FleetOptions& opts) {
   auto settle_deadline = std::chrono::steady_clock::now();
 
   BudgetStatus status = BudgetStatus::kComplete;
-  std::size_t crash_count = 0;
-  std::size_t restart_count = 0;
   const auto deadline = std::chrono::steady_clock::now() + opts.deadline;
   constexpr auto kInitResend = std::chrono::milliseconds(100);
 
@@ -264,76 +124,30 @@ FleetVerdict run_fleet(const FleetOptions& opts) {
       break;
     }
 
-    // Snapshot the board.
+    sup.rebroadcast_directory();
+    const auto snap = sup.board();
     Time fleet_tick = 0;
-    std::vector<NodeView> snap;
-    bool dirty = false;
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      snap = views;
-      dirty = directory_dirty;
-      directory_dirty = false;
-    }
-    for (const NodeView& v : snap) {
-      if (v.have_status && v.status.clock > fleet_tick) {
-        fleet_tick = v.status.clock;
-      }
-    }
-
-    // Port directory: rebroadcast to every up node whenever any stream
-    // (re)establishes, so dialers learn restarted peers' fresh ports.
-    if (dirty) {
-      WirePeers peers;
-      for (ProcessId p = 0; p < opts.n; ++p) {
-        const NodeView& v = snap[static_cast<std::size_t>(p)];
-        if (v.data_port != 0) peers.ports.push_back({p, v.data_port});
-      }
-      auto payload = encode_peers(peers);
-      for (ProcessId p = 0; p < opts.n; ++p) {
-        if (snap[static_cast<std::size_t>(p)].up) {
-          reactor.send(p, FrameType::kPeers, payload);
-        }
-      }
+    for (const auto& v : snap) {
+      if (v.status) fleet_tick = std::max(fleet_tick, v.status->clock);
     }
 
     // Scripted crashes: real SIGKILL at the scripted tick.
     for (CrashState& cs : crashes) {
       if (cs.applied || fleet_tick < cs.c.at) continue;
       cs.applied = true;
-      const ProcessId victim = cs.c.victim;
-      Child& c = children[static_cast<std::size_t>(victim)];
-      if (!c.running) continue;
-      hard_kill(victim);
-      ++crash_count;
-      if (opts.restartable_crashes) {
-        c.awaiting_relaunch = true;
-        c.relaunch_at = fleet_tick + opts.restart_after;
-      } else {
-        c.permanently_dead = true;
-      }
+      if (sup.child(cs.c.victim).running) crash(cs.c.victim, fleet_tick);
     }
 
     // Perform-triggered kills: fire the moment the victim's DURABLE state
     // shows a perform — the dagger construction's timing.
-    if (!perform_kills_pending.empty()) {
-      for (auto it = perform_kills_pending.begin();
-           it != perform_kills_pending.end();) {
-        const ProcessId victim = *it;
-        const NodeView& v = snap[static_cast<std::size_t>(victim)];
-        Child& c = children[static_cast<std::size_t>(victim)];
-        if (c.running && v.have_status && !v.status.performs.empty()) {
-          hard_kill(victim);
-          ++crash_count;
-          if (opts.restartable_crashes) {
-            c.awaiting_relaunch = true;
-            c.relaunch_at = fleet_tick + opts.restart_after;
-          } else {
-            c.permanently_dead = true;
-          }
-          it = perform_kills_pending.erase(it);
-        } else {
-          ++it;
-        }
+    for (auto it = perform_kills_pending.begin();
+         it != perform_kills_pending.end();) {
+      const auto& v = snap[static_cast<std::size_t>(*it)];
+      if (sup.child(*it).running && v.status && !v.status->performs.empty()) {
+        crash(*it, fleet_tick);
+        it = perform_kills_pending.erase(it);
+      } else {
+        ++it;
       }
     }
     if (has_perform_kills && perform_kills_pending.empty() &&
@@ -345,26 +159,12 @@ FleetVerdict run_fleet(const FleetOptions& opts) {
 
     // Relaunches: epoch+1, same WAL directory — recovery is the node's job.
     for (ProcessId p = 0; p < opts.n; ++p) {
-      Child& c = children[static_cast<std::size_t>(p)];
-      if (c.awaiting_relaunch && fleet_tick >= c.relaunch_at) {
-        ++restart_count;
-        launch(p, c.epoch + 1);
+      if (sup.child(p).relaunch_pending &&
+          fleet_tick >= relaunch_at[static_cast<std::size_t>(p)]) {
+        sup.relaunch(p);
       }
     }
-
-    // Unexpected deaths (a node hit exit 2/3 or crashed on its own): reap
-    // so they do not linger as zombies; conformance accounting at the end.
-    for (ProcessId p = 0; p < opts.n; ++p) {
-      Child& c = children[static_cast<std::size_t>(p)];
-      if (!c.running) continue;
-      int st = 0;
-      if (::waitpid(c.pid, &st, WNOHANG) == c.pid) {
-        c.exit_status = st;
-        c.reaped = true;
-        c.running = false;
-        c.permanently_dead = true;
-      }
-    }
+    sup.reap_exited();
 
     // Workload: re-send each kInit until the owner's durable status lists
     // it.  A kill may roll a non-durable init back; the re-send loop simply
@@ -375,20 +175,16 @@ FleetVerdict run_fleet(const FleetOptions& opts) {
         all_resolved = false;
         continue;
       }
-      const auto owner = static_cast<std::size_t>(ds.d.p);
-      const Child& c = children[owner];
-      const NodeView& v = snap[owner];
+      const auto& v = snap[static_cast<std::size_t>(ds.d.p)];
       const bool durable =
-          v.have_status &&
-          std::find(v.status.inits.begin(), v.status.inits.end(),
-                    ds.d.action) != v.status.inits.end();
-      if (durable) continue;
-      if (c.permanently_dead && !c.awaiting_relaunch) continue;  // excused
+          v.status && std::find(v.status->inits.begin(), v.status->inits.end(),
+                                ds.d.action) != v.status->inits.end();
+      if (durable || sup.child(ds.d.p).dead_for_good) continue;  // excused
       all_resolved = false;
       if (v.up && wall >= ds.next_send) {
         WireInit wi;
         wi.action = ds.d.action;
-        reactor.send(ds.d.p, FrameType::kInit, encode_init(wi));
+        sup.send(ds.d.p, FrameType::kInit, encode_init(wi));
         ds.next_send = wall + kInitResend;
       }
     }
@@ -398,151 +194,44 @@ FleetVerdict run_fleet(const FleetOptions& opts) {
     // initiated action durably performed at every surviving node.
     if (!all_resolved) continue;
     bool any_pending = false;
-    for (const Child& c : children) any_pending |= c.awaiting_relaunch;
-    if (any_pending) continue;
     std::set<ActionId> initiated;
-    for (const NodeView& v : snap) {
-      if (!v.have_status) continue;
-      initiated.insert(v.status.inits.begin(), v.status.inits.end());
+    for (ProcessId p = 0; p < opts.n; ++p) {
+      any_pending |= sup.child(p).relaunch_pending;
+      const auto& v = snap[static_cast<std::size_t>(p)];
+      if (v.status) {
+        initiated.insert(v.status->inits.begin(), v.status->inits.end());
+      }
     }
+    if (any_pending) continue;
     bool done = true;
     for (ProcessId p = 0; p < opts.n && done; ++p) {
-      const Child& c = children[static_cast<std::size_t>(p)];
-      if (c.permanently_dead) continue;
-      const NodeView& v = snap[static_cast<std::size_t>(p)];
-      if (!v.have_status) {
-        done = false;
-        break;
-      }
-      for (ActionId a : initiated) {
-        if (std::find(v.status.performs.begin(), v.status.performs.end(),
-                      a) == v.status.performs.end()) {
-          done = false;
-          break;
-        }
-      }
+      if (sup.child(p).dead_for_good) continue;
+      const auto& v = snap[static_cast<std::size_t>(p)];
+      done = v.status && std::all_of(initiated.begin(), initiated.end(),
+                                     [&](ActionId a) {
+                                       const auto& perf = v.status->performs;
+                                       return std::find(perf.begin(),
+                                                        perf.end(), a) !=
+                                              perf.end();
+                                     });
     }
     if (done) break;
   }
 
-  // --- shutdown -------------------------------------------------------------
-  // kStop is RE-SENT until each node dies: a node whose control stream was
-  // momentarily down (mid-reconnect after a kill, say) would miss a
-  // one-shot broadcast forever and then be mis-scored as a straggler.
-  // Resending is idempotent — a stopping node's mailbox is closed.
-  const auto stop_deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(5'000);
-  auto next_stop_send = std::chrono::steady_clock::now();
-  for (;;) {
-    if (std::chrono::steady_clock::now() >= next_stop_send) {
-      for (ProcessId p = 0; p < opts.n; ++p) {
-        if (children[static_cast<std::size_t>(p)].running) {
-          reactor.send(p, FrameType::kStop, {});
-        }
-      }
-      next_stop_send =
-          std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
-    }
-    bool any_running = false;
-    for (ProcessId p = 0; p < opts.n; ++p) {
-      Child& c = children[static_cast<std::size_t>(p)];
-      if (!c.running) continue;
-      int st = 0;
-      if (::waitpid(c.pid, &st, WNOHANG) == c.pid) {
-        c.exit_status = st;
-        c.reaped = true;
-        c.running = false;
-      } else {
-        any_running = true;
-      }
-    }
-    if (!any_running || std::chrono::steady_clock::now() >= stop_deadline) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  bool clean_exits = true;
-  for (ProcessId p = 0; p < opts.n; ++p) {
-    Child& c = children[static_cast<std::size_t>(p)];
-    if (c.running) {
-      // Straggler: it ignored kStop within the grace window.
-      ::kill(c.pid, SIGKILL);
-      int st = 0;
-      ::waitpid(c.pid, &st, 0);
-      c.exit_status = st;
-      c.reaped = true;
-      c.running = false;
-      clean_exits = false;
-    } else if (!c.killed_by_us && c.reaped &&
-               !(WIFEXITED(c.exit_status) &&
-                 WEXITSTATUS(c.exit_status) == 0)) {
-      clean_exits = false;
-    }
-  }
-  reactor.stop();
-
-  // --- merge: the shards ARE the run ---------------------------------------
-  struct MergedRecord {
-    Time tick = 0;
-    ProcessId p = kInvalidProcess;
-    std::size_t idx = 0;  // per-shard order, the sort tiebreaker
-    Event e;
-  };
-  std::vector<MergedRecord> merged;
+  FleetOutcome out = sup.finish(opts.store);
   FleetVerdict v;
-  for (ProcessId p = 0; p < opts.n; ++p) {
-    ProcessStore shard(opts.run_dir, p, opts.store, {});
-    std::vector<StoreRecord> records = shard.recover();
-    Time last_tick = 0;
-    std::size_t idx = 0;
-    for (const StoreRecord& r : records) {
-      merged.push_back({r.t, p, idx++, r.e});
-      if (r.t > last_tick) last_tick = r.t;
-    }
-    const Child& c = children[static_cast<std::size_t>(p)];
-    if (c.permanently_dead && !c.awaiting_relaunch) {
-      // R4: the kill was this process's last event.  The shard cannot
-      // contain the crash (SIGKILL writes nothing); synthesize it one tick
-      // past everything the disk remembers.
-      merged.push_back({last_tick + 1, p, idx, Event::crash()});
-    }
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const MergedRecord& a, const MergedRecord& b) {
-                     if (a.tick != b.tick) return a.tick < b.tick;
-                     if (a.p != b.p) return a.p < b.p;
-                     return a.idx < b.idx;
-                   });
-  // One event per Builder step: R2 by construction, and the Lamport sort
-  // guarantees each kRecv lands on a strictly later step than its kSend
-  // (recv tick > send tick), so build()'s R3 validation passes iff the
-  // durable-send gate actually held.
-  Run::Builder b(opts.n);
-  for (const MergedRecord& r : merged) {
-    b.append(r.p, r.e);
-    b.end_step();
-  }
-  v.run = std::move(b).build();
-
-  // --- verdict --------------------------------------------------------------
   v.status = status;
-  v.clean_exits = clean_exits;
-  {
-    std::lock_guard<std::mutex> lk(mu);
-    for (const auto& [key, rc] : counters_by) v.counters.merge(rc);
-  }
-  fold_wire_counters(reactor.counters(), &v.counters);
-  v.counters.crashes = crash_count;
-  v.counters.restarts = restart_count;
-  v.counters.events_recorded = merged.size();
+  v.clean_exits = out.clean_exits;
+  v.run = std::move(out.run);
+  v.counters = out.counters;
   v.actions = workload_actions(opts.workload);
   v.coord = opts.restartable_crashes
                 ? check_nudc(*v.run, v.actions, opts.grace)
                 : check_udc(*v.run, v.actions, opts.grace);
   v.fd = check_fd_properties(*v.run, opts.grace);
   v.accuracy = check_eventual_accuracy(*v.run);
-  v.conformant =
-      status == BudgetStatus::kComplete && v.coord.achieved() && clean_exits;
+  v.conformant = status == BudgetStatus::kComplete && v.coord.achieved() &&
+                 v.clean_exits;
   return v;
 }
 

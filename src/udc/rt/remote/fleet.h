@@ -1,5 +1,8 @@
-// run_fleet: the cross-process supervisor — real processes, real SIGKILL,
-// and a lifted Run assembled from the survivors' disks.
+// run_fleet: the paper's protocols as a fleet of OS processes — real
+// SIGKILL, and a lifted Run assembled from the survivors' disks.  One of the
+// two drivers on FleetSupervisor (rt/remote/supervisor.h), which owns the
+// processes, the control reactor and the lift; this driver owns the argv,
+// the workload, the chaos arm and the quiescence rule.
 //
 // The in-process runtime (rt/runtime.h) shares one address space: its
 // "crash" is a joined thread and its trace recorder sees every event.  The

@@ -18,74 +18,10 @@
 #include "udc/event/event.h"
 #include "udc/net/wire.h"
 #include "udc/rt/mailbox.h"
-#include "udc/rt/remote/lamport.h"
 #include "udc/sim/process.h"
 #include "udc/store/group_commit.h"
 
 namespace udc {
-
-std::vector<std::uint64_t> pack_node_counters(const RuntimeCounters& c) {
-  std::vector<std::uint64_t> v(kNodeCounterSlots, 0);
-  v[kSlotSends] = c.sends;
-  v[kSlotDelivered] = c.delivered;
-  v[kSlotRetransmits] = c.retransmits;
-  v[kSlotAcks] = c.acks;
-  v[kSlotDedupSuppressed] = c.dedup_suppressed;
-  v[kSlotAcksPiggybacked] = c.acks_piggybacked;
-  v[kSlotHeartbeats] = c.heartbeats;
-  v[kSlotSuspicions] = c.suspicions;
-  v[kSlotFalseSuspicions] = c.false_suspicions;
-  v[kSlotTrustRestores] = c.trust_restores;
-  v[kSlotConnects] = c.connects;
-  v[kSlotReconnects] = c.reconnects;
-  v[kSlotHandshakeRejects] = c.handshake_rejects;
-  v[kSlotFramesTx] = c.frames_tx;
-  v[kSlotFramesRx] = c.frames_rx;
-  v[kSlotCrcDrops] = c.crc_drops;
-  v[kSlotWireResyncs] = c.wire_resyncs;
-  v[kSlotWireDrops] = c.wire_drops;
-  v[kSlotPartitionsEnforced] = c.partitions_enforced;
-  v[kSlotWalReplayed] = c.wal_frames_replayed;
-  v[kSlotSnapshotsWritten] = c.snapshots_written;
-  v[kSlotSnapshotsLoaded] = c.snapshots_loaded;
-  v[kSlotTornTails] = c.torn_tails_truncated;
-  v[kSlotRecoveries] = c.recoveries_total;
-  v[kSlotGroupCommits] = c.wal_group_commits;
-  return v;
-}
-
-RuntimeCounters unpack_node_counters(const std::vector<std::uint64_t>& v) {
-  RuntimeCounters c;
-  auto at = [&v](std::size_t slot) -> std::size_t {
-    return slot < v.size() ? static_cast<std::size_t>(v[slot]) : 0;
-  };
-  c.sends = at(kSlotSends);
-  c.delivered = at(kSlotDelivered);
-  c.retransmits = at(kSlotRetransmits);
-  c.acks = at(kSlotAcks);
-  c.dedup_suppressed = at(kSlotDedupSuppressed);
-  c.acks_piggybacked = at(kSlotAcksPiggybacked);
-  c.heartbeats = at(kSlotHeartbeats);
-  c.suspicions = at(kSlotSuspicions);
-  c.false_suspicions = at(kSlotFalseSuspicions);
-  c.trust_restores = at(kSlotTrustRestores);
-  c.connects = at(kSlotConnects);
-  c.reconnects = at(kSlotReconnects);
-  c.handshake_rejects = at(kSlotHandshakeRejects);
-  c.frames_tx = at(kSlotFramesTx);
-  c.frames_rx = at(kSlotFramesRx);
-  c.crc_drops = at(kSlotCrcDrops);
-  c.wire_resyncs = at(kSlotWireResyncs);
-  c.wire_drops = at(kSlotWireDrops);
-  c.partitions_enforced = at(kSlotPartitionsEnforced);
-  c.wal_frames_replayed = at(kSlotWalReplayed);
-  c.snapshots_written = at(kSlotSnapshotsWritten);
-  c.snapshots_loaded = at(kSlotSnapshotsLoaded);
-  c.torn_tails_truncated = at(kSlotTornTails);
-  c.recoveries_total = at(kSlotRecoveries);
-  c.wal_group_commits = at(kSlotGroupCommits);
-  return c;
-}
 
 void fold_wire_counters(const WireCounters& w, RuntimeCounters* c) {
   c->connects += static_cast<std::size_t>(w.connects);
@@ -99,33 +35,41 @@ void fold_wire_counters(const WireCounters& w, RuntimeCounters* c) {
   c->partitions_enforced += static_cast<std::size_t>(w.partitions_enforced);
 }
 
+RuntimeCounters node_status_counters(RuntimeCounters base,
+                                     const HeartbeatDetector& detector,
+                                     const Reactor& reactor,
+                                     const ProcessStore& store) {
+  base.suspicions = detector.suspicions_raised();
+  base.false_suspicions = detector.false_suspicions();
+  base.trust_restores = detector.trust_restores();
+  fold_wire_counters(reactor.counters(), &base);
+  fold_store_counters(store.counters(), &base);
+  return base;
+}
+
+FaultScript load_fault_script(const std::string& path) {
+  if (path.empty()) return {};
+  std::ifstream in(path);
+  UDC_CHECK(in.good(), "node: cannot open fault script file");
+  std::ostringstream text;
+  text << in.rdbuf();
+  return FaultScript::parse(text.str());
+}
+
 namespace {
 
-// Records one event: Lamport tick, durable append, in-memory mirror (the
-// status scanner walks the mirror up to the store's durable floor).  Worker
-// thread only — the reactor thread never records, it only enqueues mail.
-class NodeRecorder {
- public:
-  NodeRecorder(LamportClock& clock, ProcessStore& store,
-               std::vector<Event>& mirror)
-      : clock_(clock), store_(store), mirror_(mirror) {}
-
-  // Returns the tick the event was recorded at; after the call,
-  // mirror_len() is the durable-send gate for this event.
-  Time record(const Event& e) {
-    const Time t = clock_.tick();
-    store_.append(t, e);
-    mirror_.push_back(e);
-    return t;
+bool bidirectional_cut(const FaultScript& script, ProcessId self,
+                       ProcessId peer, Time now) {
+  bool fwd = false;
+  bool rev = false;
+  for (const PartitionWindow& w : script.partitions) {
+    if (now < w.from || now >= w.heal) continue;
+    if (w.senders.contains(self) && w.recipients.contains(peer)) fwd = true;
+    if (w.senders.contains(peer) && w.recipients.contains(self)) rev = true;
+    if (fwd && rev) return true;
   }
-
-  std::size_t mirror_len() const { return mirror_.size(); }
-
- private:
-  LamportClock& clock_;
-  ProcessStore& store_;
-  std::vector<Event>& mirror_;
-};
+  return false;
+}
 
 // The cross-process Env: record-then-transmit with the durable-send gate.
 // Replay mode mirrors RtEnv's (rt/runtime.cc): sends are swallowed — peers'
@@ -173,33 +117,19 @@ class NodeEnv final : public Env {
   std::set<ActionId> wal_performed_;
 };
 
-FaultScript load_script(const std::string& path) {
-  if (path.empty()) return {};
-  std::ifstream in(path);
-  UDC_CHECK(in.good(), "node: cannot open fault script file");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return FaultScript::parse(text.str());
-}
-
-// A partition window that cuts BOTH directions of the (self, peer) pair is
-// lowered to a refuse window: the reactor tears the stream down and bounces
-// the peer's handshake while the window is open.  One-directional windows
-// stay in the drop shim (a live TCP stream that eats one direction).
-bool bidirectional_cut(const FaultScript& script, ProcessId self,
-                       ProcessId peer, Time now) {
-  bool fwd = false;
-  bool rev = false;
-  for (const PartitionWindow& w : script.partitions) {
-    if (now < w.from || now >= w.heal) continue;
-    if (w.senders.contains(self) && w.recipients.contains(peer)) fwd = true;
-    if (w.senders.contains(peer) && w.recipients.contains(self)) rev = true;
-    if (fwd && rev) return true;
-  }
-  return false;
-}
-
 }  // namespace
+
+void enforce_cuts(const FaultScript& script, ProcessId self, Time now,
+                  Reactor& reactor, std::vector<bool>& refusing) {
+  for (ProcessId q = 0; q < static_cast<ProcessId>(refusing.size()); ++q) {
+    if (q == self) continue;
+    const bool cut = bidirectional_cut(script, self, q, now);
+    if (cut != refusing[static_cast<std::size_t>(q)]) {
+      refusing[static_cast<std::size_t>(q)] = cut;
+      reactor.set_refuse(q, cut);
+    }
+  }
+}
 
 int run_node(const NodeOptions& opts) {
   UDC_CHECK(opts.n >= 1 && opts.n <= kMaxProcesses, "node: bad n");
@@ -211,7 +141,7 @@ int run_node(const NodeOptions& opts) {
             "node: wal dir missing");
   UDC_CHECK(opts.resend_interval >= 1, "node: bad resend interval");
 
-  const FaultScript script = load_script(opts.script_file);
+  const FaultScript script = load_fault_script(opts.script_file);
 
   // Durable state first: an epoch > 0 node recovers what its previous
   // incarnation managed to persist before the SIGKILL landed.
@@ -230,8 +160,7 @@ int run_node(const NodeOptions& opts) {
   }
   std::optional<GroupCommitter> committer;
   if (opts.store.group_commit) {
-    committer.emplace(
-        GroupCommitOptions{opts.store.barrier, opts.store.flusher_threads});
+    committer.emplace(GroupCommitOptions{opts.store.flusher_threads});
     committer->attach(&store);
   }
 
@@ -420,19 +349,8 @@ int run_node(const NodeOptions& opts) {
     s.durable_events = limit;
     s.inits.assign(durable_inits.begin(), durable_inits.end());
     s.performs.assign(durable_performs.begin(), durable_performs.end());
-    RuntimeCounters rc = atomic_counters.snapshot();
-    rc.suspicions = detector.suspicions_raised();
-    rc.false_suspicions = detector.false_suspicions();
-    rc.trust_restores = detector.trust_restores();
-    fold_wire_counters(reactor.counters(), &rc);
-    const StoreCounters sc = store.counters();
-    rc.wal_frames_replayed = sc.wal_frames_replayed;
-    rc.snapshots_written = sc.snapshots_written;
-    rc.snapshots_loaded = sc.snapshots_loaded;
-    rc.torn_tails_truncated = sc.torn_tails_truncated;
-    rc.recoveries_total = sc.recoveries_total;
-    rc.wal_group_commits = sc.group_commits;
-    s.counters = pack_node_counters(rc);
+    s.counters = pack_node_counters(node_status_counters(
+        atomic_counters.snapshot(), detector, reactor, store));
     s.done = done;
     reactor.send(kSupervisorPeer, FrameType::kStatus, encode_status(s));
   };
@@ -492,16 +410,7 @@ int run_node(const NodeOptions& opts) {
     proto->on_tick(env);
     transport.pump();
 
-    // Bidirectional partition windows become refuse windows: real stream
-    // teardown plus handshake bounce for as long as the window is open.
-    for (ProcessId q = 0; q < opts.n; ++q) {
-      if (q == opts.id) continue;
-      const bool cut = bidirectional_cut(script, opts.id, q, now);
-      if (cut != refusing[static_cast<std::size_t>(q)]) {
-        refusing[static_cast<std::size_t>(q)] = cut;
-        reactor.set_refuse(q, cut);
-      }
-    }
+    enforce_cuts(script, opts.id, now, reactor, refusing);
 
     const auto wall = std::chrono::steady_clock::now();
     if (wall >= next_status) {

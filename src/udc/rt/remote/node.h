@@ -31,10 +31,13 @@
 #include <string>
 #include <vector>
 
+#include "udc/chaos/fault_script.h"
 #include "udc/common/types.h"
 #include "udc/coord/metrics.h"
+#include "udc/event/event.h"
 #include "udc/fd/heartbeat.h"
 #include "udc/net/reactor.h"
+#include "udc/rt/remote/lamport.h"
 #include "udc/rt/remote/remote_transport.h"
 #include "udc/rt/runtime.h"
 #include "udc/store/process_store.h"
@@ -54,43 +57,53 @@ inline StoreOptions mp_store_options() {
   return s;
 }
 
-// Fixed slot order for WireStatus::counters — the node packs, the
-// supervisor unpacks; both sides compile against this enum so the wire
-// stays in sync by construction.
-enum NodeCounterSlot : std::size_t {
-  kSlotSends = 0,
-  kSlotDelivered,
-  kSlotRetransmits,
-  kSlotAcks,
-  kSlotDedupSuppressed,
-  kSlotAcksPiggybacked,
-  kSlotHeartbeats,
-  kSlotSuspicions,
-  kSlotFalseSuspicions,
-  kSlotTrustRestores,
-  kSlotConnects,
-  kSlotReconnects,
-  kSlotHandshakeRejects,
-  kSlotFramesTx,
-  kSlotFramesRx,
-  kSlotCrcDrops,
-  kSlotWireResyncs,
-  kSlotWireDrops,
-  kSlotPartitionsEnforced,
-  kSlotWalReplayed,
-  kSlotSnapshotsWritten,
-  kSlotSnapshotsLoaded,
-  kSlotTornTails,
-  kSlotRecoveries,
-  kSlotGroupCommits,
-  kNodeCounterSlots,
-};
-
-std::vector<std::uint64_t> pack_node_counters(const RuntimeCounters& c);
-RuntimeCounters unpack_node_counters(const std::vector<std::uint64_t>& v);
-
 // Folds the reactor's wire-plane tallies into the shared counter struct.
 void fold_wire_counters(const WireCounters& w, RuntimeCounters* c);
+
+// The counter block of a node's status frame: the node's own tallies in
+// `base`, plus its detector's, its reactor's and its store's.
+RuntimeCounters node_status_counters(RuntimeCounters base,
+                                     const HeartbeatDetector& detector,
+                                     const Reactor& reactor,
+                                     const ProcessStore& store);
+
+// Records one event: Lamport tick, durable append, in-memory mirror (the
+// status scanner walks the mirror up to the store's durable floor).  Worker
+// thread only — the reactor thread never records, it only enqueues mail.
+class NodeRecorder {
+ public:
+  NodeRecorder(LamportClock& clock, ProcessStore& store,
+               std::vector<Event>& mirror)
+      : clock_(clock), store_(store), mirror_(mirror) {}
+
+  // Returns the tick the event was recorded at; after the call,
+  // mirror_len() is the durable-send gate for this event.
+  Time record(const Event& e) {
+    const Time t = clock_.tick();
+    store_.append(t, e);
+    mirror_.push_back(e);
+    return t;
+  }
+
+  std::size_t mirror_len() const { return mirror_.size(); }
+
+ private:
+  LamportClock& clock_;
+  ProcessStore& store_;
+  std::vector<Event>& mirror_;
+};
+
+// The chaos script file the supervisor wrote for this node ("" = none).
+FaultScript load_fault_script(const std::string& path);
+
+// Lowers the script's partition windows that cut BOTH directions of a
+// (self, peer) pair to reactor refuse windows: the stream is torn down and
+// the peer's handshake bounced while the window is open.  One-directional
+// windows stay in the drop shim (a live TCP stream that eats one
+// direction).  `refusing` holds one flag per peer; the reactor hears only
+// the edges.
+void enforce_cuts(const FaultScript& script, ProcessId self, Time now,
+                  Reactor& reactor, std::vector<bool>& refusing);
 
 struct NodeOptions {
   ProcessId id = kInvalidProcess;

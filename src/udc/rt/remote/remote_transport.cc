@@ -94,29 +94,13 @@ void RemoteTransport::on_wire_data(ProcessId peer, std::uint64_t epoch,
         ch = PeerChannel{};
         ch.epoch = epoch;
         ch.epoch_known = true;
+        ch.dedup = DedupWindow(opts_.dedup_window);
       }
-      if (d.seq <= ch.watermark || ch.seen.count(d.seq) > 0) {
+      if (ch.dedup.seen(d.seq)) {
         counters_.add(counters_.dedup_suppressed);
       } else {
         fresh = true;
-        if (d.seq == ch.watermark + 1) {
-          ++ch.watermark;
-          while (!ch.seen.empty() &&
-                 *ch.seen.begin() == ch.watermark + 1) {
-            ch.seen.erase(ch.seen.begin());
-            ++ch.watermark;
-          }
-        } else {
-          ch.seen.insert(d.seq);
-          if (ch.seen.size() > opts_.dedup_window) {
-            // Overflow folds into the watermark: every seq at or below the
-            // new watermark is treated as seen.  Any genuinely unseen seq
-            // swallowed this way is channel loss; the protocol layer
-            // retransmits under a fresh wire seq.
-            ch.watermark = *ch.seen.rbegin();
-            ch.seen.clear();
-          }
-        }
+        ch.dedup.admit(d.seq);
       }
       // Ack even duplicates — the sender keeps retrying until it hears one.
       ch.owed_acks.push_back(d.seq);

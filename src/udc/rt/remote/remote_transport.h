@@ -20,9 +20,9 @@
 //     until acked (R5 realized operationally over a lossy chaos shim);
 //   * receiver-side dedup keyed per (peer, EPOCH) — a restarted peer begins
 //     a fresh seq space, so its dedup state must not leak across
-//     incarnations — with the bounded watermark + out-of-order window
-//     (overflow folds into the watermark: that is channel loss, re-learned
-//     by retransmission);
+//     incarnations — through the same bounded DedupWindow (overflow folds
+//     into the watermark: that is channel loss, re-learned by
+//     retransmission);
 //   * acks piggyback on data frames in the reverse direction and flush as
 //     standalone kAck batches otherwise;
 //   * a peer-up event (reconnect) re-arms every pending send to that peer
@@ -40,7 +40,6 @@
 #include <functional>
 #include <map>
 #include <mutex>
-#include <set>
 #include <vector>
 
 #include "udc/common/rng.h"
@@ -50,6 +49,7 @@
 #include "udc/net/backoff.h"
 #include "udc/net/reactor.h"
 #include "udc/net/wire.h"
+#include "udc/rt/dedup_window.h"
 
 namespace udc {
 
@@ -116,8 +116,7 @@ class RemoteTransport {
   struct PeerChannel {
     std::uint64_t epoch = 0;
     bool epoch_known = false;
-    std::uint64_t watermark = 0;
-    std::set<std::uint64_t> seen;
+    DedupWindow dedup{0};  // sized when the epoch is learned
     std::vector<std::uint64_t> owed_acks;
   };
 

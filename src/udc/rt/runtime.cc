@@ -367,6 +367,17 @@ void worker_main(WorkerArgs args) {
 
 }  // namespace
 
+void fold_store_counters(const StoreCounters& s, RuntimeCounters* c) {
+  c->wal_frames_replayed += s.wal_frames_replayed;
+  c->snapshots_written += s.snapshots_written;
+  c->snapshots_loaded += s.snapshots_loaded;
+  c->torn_tails_truncated += s.torn_tails_truncated;
+  c->recoveries_total += s.recoveries_total;
+  c->storage_faults_injected += s.storage_faults_injected;
+  c->sync_failures += s.sync_failures;
+  c->wal_group_commits += s.group_commits;
+}
+
 RtVerdict run_live(const RtOptions& opts) {
   UDC_CHECK(opts.n >= 1 && opts.n <= kMaxProcesses, "run_live: bad n");
   UDC_CHECK(opts.t >= 0 && opts.t < opts.n, "run_live: bad t");
@@ -411,8 +422,7 @@ RtVerdict run_live(const RtOptions& opts) {
   // stopped explicitly before counters are read.
   std::optional<GroupCommitter> committer;
   if (durable && opts.store.group_commit) {
-    committer.emplace(
-        GroupCommitOptions{opts.store.barrier, opts.store.flusher_threads});
+    committer.emplace(GroupCommitOptions{opts.store.flusher_threads});
     for (auto& ps : stores) committer->attach(ps.get());
   }
 
@@ -682,15 +692,7 @@ RtVerdict run_live(const RtOptions& opts) {
   v.counters.restarts = restart_count;
   v.counters.events_recorded = rec.event_count();
   for (const auto& ps : stores) {
-    const StoreCounters sc = ps->counters();
-    v.counters.wal_frames_replayed += sc.wal_frames_replayed;
-    v.counters.snapshots_written += sc.snapshots_written;
-    v.counters.snapshots_loaded += sc.snapshots_loaded;
-    v.counters.torn_tails_truncated += sc.torn_tails_truncated;
-    v.counters.recoveries_total += sc.recoveries_total;
-    v.counters.storage_faults_injected += sc.storage_faults_injected;
-    v.counters.sync_failures += sc.sync_failures;
-    v.counters.wal_group_commits += sc.group_commits;
+    fold_store_counters(ps->counters(), &v.counters);
   }
   v.counters.mailbox_refused +=
       mailbox_refused.load(std::memory_order_relaxed);

@@ -69,9 +69,9 @@ inline StoreOptions rt_default_store_options() {
   // segmented, preallocated WAL with ring-staged appends.  Appends are two
   // memcpys into a fixed slot; the committer drains each store with one
   // gathered write and batches every store's fdatasync through one
-  // SyncBarrier round (io_uring when the kernel grants it).  commit_every /
-  // commit_interval are sized so a saturated store contributes roughly one
-  // barrier round per ~1k events instead of per 32.
+  // SyncBarrier round (the flusher pool: flusher_threads defaults to 4).
+  // commit_every / commit_interval are sized so a saturated store
+  // contributes roughly one barrier round per ~1k events instead of per 32.
   StoreOptions s;
   s.group_commit = true;
   s.segment_bytes = 256 * 1024;
@@ -79,15 +79,11 @@ inline StoreOptions rt_default_store_options() {
   s.commit_every = 1024;
   s.commit_interval = std::chrono::microseconds{5'000};
   s.snapshot_every = 1024;
-  // Measured choice, not a fallback: at n=8 the final-commit phase costs
-  // ~106ns of process CPU per event through the pinned pool vs ~122-131
-  // through io_uring on the reference box (EXPERIMENTS.md) — the kernel
-  // punts fsync to io-wq threads either way, so batching the submissions
-  // buys nothing and the per-round worker churn costs more than four
-  // parked flushers.  kAuto / kUring stay available where that flips.
-  s.barrier = CommitBarrier::kPool;
   return s;
 }
+
+// Adds one store's durability tallies to the runtime counters.
+void fold_store_counters(const StoreCounters& s, RuntimeCounters* c);
 
 struct RtOptions {
   int n = 4;

@@ -45,7 +45,7 @@ RtTransport::RtTransport(int n, RtTransportOptions opts,
     channel_rngs_.emplace_back(seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
   }
   channel_next_wire_.assign(channels, 0);
-  dedup_.resize(channels);
+  dedup_.assign(channels, DedupWindow(opts_.dedup_window));
   owed_acks_.resize(channels);
   ack_flush_scheduled_.assign(channels, 0);
 
@@ -386,8 +386,8 @@ void RtTransport::handle_deliver(Shard& sh, std::unique_lock<std::mutex>& lock,
   const Message msg = it->second.msg;
   const Time send_tick = it->second.send_tick;
 
-  ChannelDedup& d = dedup_[channel_index(from, to)];
-  if (wire <= d.watermark || d.seen.count(wire) > 0) {
+  DedupWindow& d = dedup_[channel_index(from, to)];
+  if (d.seen(wire)) {
     // Already surfaced (or folded into the watermark): suppress, but still
     // ack — re-acking duplicates is what ends retransmission when the
     // first ack was lost.
@@ -405,24 +405,8 @@ void RtTransport::handle_deliver(Shard& sh, std::unique_lock<std::mutex>& lock,
   if (it == sh.pending.end()) return;
   if (!accepted) return;  // refused (process down): stays pending, retries
   counters_.add(counters_.delivered);
-  d.seen.insert(wire);
-  // Contiguous prefix folds into the watermark...
-  while (d.seen.count(d.watermark + 1) > 0) {
-    d.seen.erase(d.watermark + 1);
-    ++d.watermark;
-  }
-  // ...and reordering beyond the window folds forcibly: seqs skipped over
-  // here are suppressed if they ever arrive, i.e. channel loss, which
-  // protocol retransmission (a fresh wire seq) re-learns.
-  while (d.seen.size() > opts_.dedup_window) {
-    d.watermark = *d.seen.begin();
-    d.seen.erase(d.seen.begin());
-    while (d.seen.count(d.watermark + 1) > 0) {
-      d.seen.erase(d.watermark + 1);
-      ++d.watermark;
-    }
-  }
-  sh.dedup_peak = std::max(sh.dedup_peak, d.seen.size());
+  d.admit(wire);  // only now: a refused copy must stay deliverable
+  sh.dedup_peak = std::max(sh.dedup_peak, d.held());
   owe_ack(sh, to, from, op.seq);
 }
 

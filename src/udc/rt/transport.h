@@ -66,7 +66,6 @@
 #include <memory>
 #include <mutex>
 #include <queue>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -76,6 +75,7 @@
 #include "udc/event/message.h"
 #include "udc/net/backoff.h"
 #include "udc/net/network.h"
+#include "udc/rt/dedup_window.h"
 
 namespace udc {
 
@@ -159,14 +159,6 @@ class RtTransport {
     std::chrono::steady_clock::time_point next_at;  // backoff deadline
   };
 
-  // Receiver-side dedup state for one ordered channel: everything at or
-  // below `watermark` has been seen; `seen` holds the out-of-order seqs
-  // above it, at most dedup_window of them.
-  struct ChannelDedup {
-    std::uint64_t watermark = 0;
-    std::set<std::uint64_t> seen;
-  };
-
   enum class OpKind { kDeliver, kRetryScan, kAckFlush };
   struct Op {
     std::chrono::steady_clock::time_point at;
@@ -228,7 +220,7 @@ class RtTransport {
   // under the owning shard's mutex, so none of these need their own locks.
   std::vector<Rng> channel_rngs_;
   std::vector<std::uint64_t> channel_next_wire_;
-  std::vector<ChannelDedup> dedup_;
+  std::vector<DedupWindow> dedup_;  // receiver side, per ordered channel
   std::vector<std::vector<std::uint64_t>> owed_acks_;
   std::vector<char> ack_flush_scheduled_;
 

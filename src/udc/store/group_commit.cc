@@ -7,7 +7,7 @@
 namespace udc {
 
 GroupCommitter::GroupCommitter(GroupCommitOptions opts)
-    : barrier_(SyncBarrier::make(opts.barrier, opts.flusher_threads)) {
+    : barrier_(SyncBarrier::make(opts.flusher_threads)) {
   flusher_ = std::thread([this] { loop(); });
 }
 
@@ -23,8 +23,14 @@ void GroupCommitter::attach(ProcessStore* store) {
   cv_.notify_one();  // re-derive the wait interval promptly
 }
 
+// The flag flips under mu_ (here and in stop): set between the flusher's
+// predicate check and its block on cv_, an unlocked flip's notify would be
+// lost and the round would wait out a whole commit interval.
 void GroupCommitter::kick() {
-  kicked_.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    kicked_.store(true, std::memory_order_release);
+  }
   cv_.notify_one();
 }
 
@@ -55,7 +61,12 @@ void GroupCommitter::round() {
 void GroupCommitter::flush_all() { round(); }
 
 void GroupCommitter::stop() {
-  if (stopping_.exchange(true)) {
+  bool already = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    already = stopping_.exchange(true);
+  }
+  if (already) {
     if (flusher_.joinable()) flusher_.join();
     return;
   }
@@ -86,9 +97,11 @@ void GroupCommitter::loop() {
              kicked_.load(std::memory_order_acquire) ||
              cached_gen_ != attach_gen_;
     });
-    kicked_.store(false, std::memory_order_release);
     if (stopping_.load(std::memory_order_acquire)) break;
-    if (cached_gen_ != attach_gen_) continue;  // re-derive before flushing
+    // Re-derive the interval before flushing.  A kick that arrived with the
+    // attach stays set, so the next wait returns at once and flushes.
+    if (cached_gen_ != attach_gen_) continue;
+    kicked_.store(false, std::memory_order_release);
     lock.unlock();  // never hold the list lock across a barrier
     round();
     lock.lock();

@@ -15,10 +15,9 @@
 //      pwritev (cheap, microseconds), and the store's WAL hands back the
 //      descriptors that need a barrier while holding its drain lock;
 //   2. barrier — ALL descriptors are fdatasync'd at once through a
-//      SyncBarrier engine (io_uring batch where the kernel allows it, a
-//      flusher-thread pool otherwise, serial as the last resort), and only
-//      then does each store advance its synced watermark and bump its
-//      group-commit counters.
+//      SyncBarrier engine (a flusher-thread pool, or serial with one
+//      flusher thread), and only then does each store advance its synced
+//      watermark and bump its group-commit counters.
 //
 // A round fires when a store accumulates `commit_every` unsynced frames
 // (the store kicks the committer early), when `commit_interval` elapses
@@ -59,8 +58,7 @@ namespace udc {
 class ProcessStore;
 
 struct GroupCommitOptions {
-  CommitBarrier barrier = CommitBarrier::kAuto;
-  int flusher_threads = 4;  // pool size when the pool engine is chosen
+  int flusher_threads = 4;  // > 1: pool engine of this size; else serial
 };
 
 class GroupCommitter {
@@ -86,8 +84,8 @@ class GroupCommitter {
   // Final flush_all, then joins the flusher.  Idempotent.
   void stop();
 
-  // Which barrier engine the committer resolved to ("io_uring", "pool",
-  // "serial") — diagnostics and tests.
+  // Which barrier engine the committer resolved to ("pool" or "serial") —
+  // diagnostics and tests.
   const char* barrier_name() const { return barrier_->name(); }
 
  private:

@@ -56,7 +56,6 @@
 #include "udc/common/rng.h"
 #include "udc/common/types.h"
 #include "udc/store/snapshot.h"
-#include "udc/store/sync_barrier.h"
 #include "udc/store/wal.h"
 
 namespace udc {
@@ -78,8 +77,7 @@ struct StoreOptions {
   // (rt_default_store_options in rt/runtime.h).
   std::uint64_t segment_bytes = 0;  // >0: segmented WAL <wal>.seg-NNNNNN
   std::size_t ring_frames = 0;      // >0 + group_commit: staged appends
-  CommitBarrier barrier = CommitBarrier::kAuto;  // committer sync engine
-  int flusher_threads = 4;          // pool size for the kPool fallback
+  int flusher_threads = 4;          // committer barrier pool; <= 1: serial
 };
 
 struct StoreCounters {

@@ -3,34 +3,27 @@
 // A commit round must barrier one descriptor per store (plus any sealed
 // segments awaiting their deferred sync).  Issued serially, n stores'
 // barriers convoy: each fdatasync is ~100-300µs of mostly-idle wait, so the
-// round costs n of them end to end.  The engines here overlap the waits:
+// round costs n of them end to end.  The engine follows from the flusher
+// thread count:
 //
-//   * kUring — one io_uring submission carrying IORING_OP_FSYNC
-//     (IORING_FSYNC_DATASYNC) per fd; the kernel runs the barriers
-//     concurrently and one io_uring_enter reaps them all.  Raw syscalls
-//     (io_uring_setup / io_uring_enter + mmap'd rings), no liburing
-//     dependency; compiled only when <linux/io_uring.h> exists (the
-//     UDC_HAVE_LINUX_IO_URING CMake check) and constructed only when the
-//     kernel actually grants the rings (seccomp or an old kernel fails
-//     setup, not the build).
-//   * kPool — a persistent pool of flusher threads; each takes fds off a
-//     shared index and fdatasyncs them.  Portable fallback with the same
-//     overlap, at the cost of thread wakeups.
-//   * kSerial — the PR 5 behavior, one blocking fdatasync per fd.  Also
-//     the degenerate pool (flusher_threads <= 1).
+//   * pool (flusher_threads > 1, the shipping default of 4) — a persistent
+//     pool of flusher threads; each takes fds off a shared index and
+//     fdatasyncs them, so the waits overlap.
+//   * serial (flusher_threads <= 1) — one blocking fdatasync per fd.
 //
-// kAuto picks the best available at construction: uring, else pool, else
-// serial.  sync() is called from one committer thread at a time; an
-// internal mutex makes stray concurrent callers (stop() racing a late
-// flush_all) safe rather than fast.
+// An io_uring engine (one IORING_OP_FSYNC submission per round) was
+// measured against the pool and removed: the kernel punts each fsync to
+// io-wq threads either way, so batching the submissions bought nothing and
+// cost more CPU per event (EXPERIMENTS.md, RTPERF).
+// sync() is called from one committer thread at a time; an internal mutex
+// makes stray concurrent callers (stop() racing a late flush_all) safe
+// rather than fast.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 namespace udc {
-
-enum class CommitBarrier { kAuto, kUring, kPool, kSerial };
 
 class SyncBarrier {
  public:
@@ -44,10 +37,8 @@ class SyncBarrier {
 
   virtual const char* name() const = 0;
 
-  // Builds the requested engine, falling back kUring -> kPool -> kSerial
-  // when the requested one is unavailable on this machine.
-  static std::unique_ptr<SyncBarrier> make(CommitBarrier mode,
-                                           int flusher_threads);
+  // The pool for flusher_threads > 1, otherwise serial.
+  static std::unique_ptr<SyncBarrier> make(int flusher_threads);
 };
 
 }  // namespace udc

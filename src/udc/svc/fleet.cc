@@ -1,14 +1,7 @@
 #include "udc/svc/fleet.h"
 
-#include <fcntl.h>
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -22,11 +15,9 @@
 #include "udc/chaos/fault_script.h"
 #include "udc/common/check.h"
 #include "udc/common/rng.h"
-#include "udc/coord/action.h"
 #include "udc/event/event.h"
-#include "udc/net/reactor.h"
 #include "udc/net/wire.h"
-#include "udc/store/process_store.h"
+#include "udc/rt/remote/supervisor.h"
 #include "udc/svc/client.h"
 #include "udc/svc/svclog.h"
 #include "udc/svc/wire.h"
@@ -55,25 +46,6 @@ namespace {
 constexpr Time kCutFrom = 1'500;
 constexpr Time kCutHeal = 15'000;
 
-struct NodeView {
-  bool up = false;
-  std::uint64_t epoch = 0;      // epoch of the established control stream
-  std::uint16_t data_port = 0;  // from the node's hello
-  bool have_status = false;
-  SvcNodeStatus status;
-};
-
-struct Child {
-  pid_t pid = -1;
-  std::uint64_t epoch = 0;
-  bool running = false;
-  bool killed_by_us = false;
-  bool awaiting_relaunch = false;
-  std::chrono::steady_clock::time_point relaunch_at{};
-  int exit_status = 0;
-  bool reaped = false;
-};
-
 // One scheduled open-loop arrival.
 struct Arrival {
   std::int64_t at_us = 0;  // offset from load start
@@ -84,9 +56,8 @@ struct Arrival {
   std::int64_t value = 0;
 };
 
-std::vector<std::string> node_argv(const SvcFleetOptions& opts, ProcessId id,
-                                   std::uint64_t epoch, std::uint64_t run_id,
-                                   std::uint16_t sup_port,
+// The svc node's own flags; the supervisor adds identity, epoch and seed.
+std::vector<std::string> node_args(const SvcFleetOptions& opts,
                                    const std::string& script_path) {
   auto arg = [](const std::string& k, const auto& v) {
     std::ostringstream os;
@@ -95,16 +66,8 @@ std::vector<std::string> node_argv(const SvcFleetOptions& opts, ProcessId id,
   };
   const SvcNodeOptions& nd = opts.node;
   std::vector<std::string> a;
-  a.push_back(opts.node_binary);
-  a.push_back(arg("--id", id));
-  a.push_back(arg("--n", opts.n));
-  a.push_back(arg("--epoch", epoch));
-  a.push_back(arg("--run-id", run_id));
-  a.push_back(arg("--supervisor-port", sup_port));
   a.push_back(arg("--dir", opts.run_dir));
   if (!script_path.empty()) a.push_back(arg("--script", script_path));
-  a.push_back(arg("--seed", opts.seed + 0x9e37u * (std::uint64_t)(id + 1) +
-                               epoch));
   a.push_back(arg("--hb-interval", nd.heartbeat.interval));
   a.push_back(arg("--hb-timeout", nd.heartbeat.initial_timeout));
   a.push_back(arg("--lease-ms", nd.lease_window.count()));
@@ -117,27 +80,11 @@ std::vector<std::string> node_argv(const SvcFleetOptions& opts, ProcessId id,
   return a;
 }
 
-pid_t spawn_node(const std::vector<std::string>& argv,
-                 const std::string& log_path) {
-  std::vector<char*> cargv;
-  cargv.reserve(argv.size() + 1);
-  for (const std::string& s : argv) {
-    cargv.push_back(const_cast<char*>(s.c_str()));
-  }
-  cargv.push_back(nullptr);
-  pid_t pid = ::fork();
-  UDC_CHECK(pid >= 0, "svc fleet: fork failed");
-  if (pid == 0) {
-    int fd = ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (fd >= 0) {
-      ::dup2(fd, STDOUT_FILENO);
-      ::dup2(fd, STDERR_FILENO);
-      if (fd > STDERR_FILENO) ::close(fd);
-    }
-    ::execv(cargv[0], cargv.data());
-    _exit(127);
-  }
-  return pid;
+// Both counter blocks of a replica's status frame.
+RuntimeCounters svc_status_counters(const SvcNodeStatus& s) {
+  RuntimeCounters rc = unpack_node_counters(s.counters);
+  unpack_svc_counters(s.counters, kNodeCounterSlots, &rc);
+  return rc;
 }
 
 // Bounded Pareto (alpha = 1.5): the mean interarrival is honored but the
@@ -210,87 +157,17 @@ SvcFleetVerdict run_svc_fleet(const SvcFleetOptions& opts) {
     UDC_CHECK(out.good(), "svc fleet: cannot write script file");
   }
 
-  const std::uint64_t run_id =
-      (static_cast<std::uint64_t>(::getpid()) << 32) ^ opts.seed ^
-      0x737663ull;  // "svc"
-
-  // --- control plane --------------------------------------------------------
-  std::mutex mu;
-  std::vector<NodeView> views(static_cast<std::size_t>(opts.n));
-  std::map<std::pair<ProcessId, std::uint64_t>, RuntimeCounters> counters_by;
-  bool directory_dirty = false;
-
-  ReactorOptions ropts;
-  ropts.self = kSupervisorPeer;
-  ropts.n = opts.n;
-  ropts.run_id = run_id;
-  ropts.seed = opts.seed ^ 0x73757065ull;  // "supe"
-  Reactor reactor(
-      ropts,
-      [&](ProcessId peer, std::uint64_t epoch, const WireFrame& f) {
-        if (f.type != FrameType::kSvcStatus || peer < 0 || peer >= opts.n) {
-          return;
-        }
-        auto s = decode_svc_status(f.payload.data(), f.payload.size());
-        if (!s || s->id != peer) return;
-        std::lock_guard<std::mutex> lk(mu);
-        NodeView& v = views[static_cast<std::size_t>(peer)];
-        v.have_status = true;
-        v.status = *s;
-        RuntimeCounters rc = unpack_node_counters(s->counters);
-        unpack_svc_counters(s->counters, kNodeCounterSlots, &rc);
-        counters_by[{peer, epoch}] = rc;
-      },
-      [&](ProcessId peer, std::uint64_t epoch, bool up,
-          std::uint16_t data_port) {
-        if (peer < 0 || peer >= opts.n) return;
-        std::lock_guard<std::mutex> lk(mu);
-        NodeView& v = views[static_cast<std::size_t>(peer)];
-        v.up = up;
-        if (up) {
-          v.epoch = epoch;
-          v.data_port = data_port;
-          directory_dirty = true;
-        }
-      });
-  const std::uint16_t sup_port = reactor.listen(0);
-  reactor.start();
-
-  // --- the fleet ------------------------------------------------------------
-  std::vector<Child> children(static_cast<std::size_t>(opts.n));
-  std::size_t crash_count = 0;
-  std::size_t restart_count = 0;
-  auto launch = [&](ProcessId p, std::uint64_t epoch) {
-    Child& c = children[static_cast<std::size_t>(p)];
-    c.epoch = epoch;
-    c.killed_by_us = false;
-    c.reaped = false;
-    c.exit_status = 0;
-    c.pid = spawn_node(
-        node_argv(opts, p, epoch, run_id, sup_port, script_path),
-        (std::filesystem::path(opts.run_dir) /
-         ("node-" + std::to_string(p) + ".log"))
-            .string());
-    c.running = true;
-    c.awaiting_relaunch = false;
-  };
-  for (ProcessId p = 0; p < opts.n; ++p) launch(p, 0);
-
-  auto hard_kill = [&](ProcessId p) {
-    Child& c = children[static_cast<std::size_t>(p)];
-    if (!c.running) return;
-    ::kill(c.pid, SIGKILL);
-    int st = 0;
-    ::waitpid(c.pid, &st, 0);
-    c.exit_status = st;
-    c.reaped = true;
-    c.running = false;
-    c.killed_by_us = true;
-    ++crash_count;
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      views[static_cast<std::size_t>(p)].up = false;
-    }
+  FleetSupervisor<SvcNodeStatus> sup(
+      opts.n, opts.run_dir, opts.node_binary, node_args(opts, script_path),
+      opts.seed, FrameType::kSvcStatus, decode_svc_status,
+      svc_status_counters);
+  std::vector<std::chrono::steady_clock::time_point> relaunch_at(
+      static_cast<std::size_t>(opts.n));
+  // Chaos kills are always relaunched, `restart_after` later.
+  auto crash = [&](ProcessId victim,
+                   std::chrono::steady_clock::time_point wall) {
+    sup.kill(victim, /*relaunch=*/true);
+    relaunch_at[static_cast<std::size_t>(victim)] = wall + opts.restart_after;
   };
 
   // --- the load -------------------------------------------------------------
@@ -303,7 +180,7 @@ SvcFleetVerdict run_svc_fleet(const SvcFleetOptions& opts) {
   for (int ci = 0; ci < opts.clients; ++ci) {
     SvcClientOptions co;
     co.instance = ci;
-    co.run_id = run_id;
+    co.run_id = sup.run_id();
     co.n = opts.n;
     co.seed = opts.seed + 0x11u * static_cast<std::uint64_t>(ci + 1);
     clients.push_back(std::make_unique<SvcClient>(
@@ -340,34 +217,15 @@ SvcFleetVerdict run_svc_fleet(const SvcFleetOptions& opts) {
       break;
     }
 
-    std::vector<NodeView> snap;
-    bool dirty = false;
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      snap = views;
-      dirty = directory_dirty;
-      directory_dirty = false;
-    }
-
     // Port directory: nodes learn each other, clients learn everyone.
-    if (dirty) {
-      WirePeers peers;
-      for (ProcessId p = 0; p < opts.n; ++p) {
-        const NodeView& nv = snap[static_cast<std::size_t>(p)];
-        if (nv.data_port != 0) peers.ports.push_back({p, nv.data_port});
-      }
-      auto payload = encode_peers(peers);
-      for (ProcessId p = 0; p < opts.n; ++p) {
-        if (snap[static_cast<std::size_t>(p)].up) {
-          reactor.send(p, FrameType::kPeers, payload);
-        }
-      }
+    if (auto peers = sup.rebroadcast_directory()) {
       for (auto& cl : clients) {
-        for (const auto& [pid, port] : peers.ports) {
+        for (const auto& [pid, port] : peers->ports) {
           cl->set_node_port(pid, port);
         }
       }
     }
+    const auto snap = sup.board();
 
     // Open-loop arrivals: issue everything due, never wait for completions.
     const std::int64_t elapsed_us =
@@ -396,22 +254,17 @@ SvcFleetVerdict run_svc_fleet(const SvcFleetOptions& opts) {
           // Majority view of the leader; no kill while the fleet is still
           // arguing (an electing fleet has no leader to fail over from).
           std::map<ProcessId, int> votes;
-          for (const NodeView& nv : snap) {
-            if (nv.up && nv.have_status &&
-                nv.status.leader != kInvalidProcess) {
-              ++votes[nv.status.leader];
+          for (const auto& nv : snap) {
+            if (nv.up && nv.status && nv.status->leader != kInvalidProcess) {
+              ++votes[nv.status->leader];
             }
           }
           ProcessId target = kInvalidProcess;
           for (const auto& [who, n] : votes) {
             if (n * 2 > opts.n) target = who;
           }
-          if (target != kInvalidProcess &&
-              children[static_cast<std::size_t>(target)].running) {
-            hard_kill(target);
-            Child& c = children[static_cast<std::size_t>(target)];
-            c.awaiting_relaunch = true;
-            c.relaunch_at = wall + opts.restart_after;
+          if (target != kInvalidProcess && sup.child(target).running) {
+            crash(target, wall);
             ++kills_done;
             next_kill = wall + opts.kill_spacing;
           }
@@ -421,21 +274,19 @@ SvcFleetVerdict run_svc_fleet(const SvcFleetOptions& opts) {
       case SvcChaosArm::kRolling: {
         chaos_done = rolling_victim >= opts.n;
         if (!chaos_done && wall >= rolling_gate) {
-          Child& c = children[static_cast<std::size_t>(rolling_victim)];
+          const ProcessId victim = static_cast<ProcessId>(rolling_victim);
+          const FleetChild& c = sup.child(victim);
           if (!rolling_waiting) {
             if (c.running) {
-              hard_kill(static_cast<ProcessId>(rolling_victim));
-              c.awaiting_relaunch = true;
-              c.relaunch_at = wall + opts.restart_after;
+              crash(victim, wall);
               rolling_waiting = true;
             }
           } else {
             // Move on only once the relaunched incarnation reports in: a
             // rolling restart never has two replicas down at once.
-            const NodeView& nv =
-                snap[static_cast<std::size_t>(rolling_victim)];
-            if (c.running && !c.awaiting_relaunch && nv.up &&
-                nv.have_status && nv.status.epoch == c.epoch) {
+            const auto& nv = snap[static_cast<std::size_t>(victim)];
+            if (c.running && nv.up && nv.status &&
+                nv.status->epoch == c.epoch) {
               ++rolling_victim;
               rolling_waiting = false;
               rolling_gate = wall + std::chrono::milliseconds(200);
@@ -446,36 +297,20 @@ SvcFleetVerdict run_svc_fleet(const SvcFleetOptions& opts) {
       }
       case SvcChaosArm::kPartition: {
         chaos_done = true;
-        for (const NodeView& nv : snap) {
-          if (!nv.have_status ||
-              nv.status.clock <= kCutHeal) {
-            chaos_done = false;
-          }
+        for (const auto& nv : snap) {
+          if (!nv.status || nv.status->clock <= kCutHeal) chaos_done = false;
         }
         break;
       }
     }
 
-    // Relaunches.
     for (ProcessId p = 0; p < opts.n; ++p) {
-      Child& c = children[static_cast<std::size_t>(p)];
-      if (c.awaiting_relaunch && wall >= c.relaunch_at) {
-        ++restart_count;
-        launch(p, c.epoch + 1);
+      if (sup.child(p).relaunch_pending &&
+          wall >= relaunch_at[static_cast<std::size_t>(p)]) {
+        sup.relaunch(p);
       }
     }
-
-    // Unexpected deaths: reap; conformance accounting at the end.
-    for (ProcessId p = 0; p < opts.n; ++p) {
-      Child& c = children[static_cast<std::size_t>(p)];
-      if (!c.running) continue;
-      int st = 0;
-      if (::waitpid(c.pid, &st, WNOHANG) == c.pid) {
-        c.exit_status = st;
-        c.reaped = true;
-        c.running = false;
-      }
-    }
+    sup.reap_exited();
 
     // Quiescence: all load completed, all chaos done, every replica caught
     // up, applied out, and agreeing on the floor.
@@ -484,115 +319,25 @@ SvcFleetVerdict run_svc_fleet(const SvcFleetOptions& opts) {
     for (const auto& cl : clients) inflight += cl->inflight();
     if (inflight != 0) continue;
     bool settled = true;
-    std::uint64_t floor0 = 0;
     for (ProcessId p = 0; p < opts.n && settled; ++p) {
-      const Child& c = children[static_cast<std::size_t>(p)];
-      const NodeView& nv = snap[static_cast<std::size_t>(p)];
-      if (!c.running || c.awaiting_relaunch || !nv.up || !nv.have_status ||
-          nv.status.epoch != c.epoch || nv.status.syncing ||
-          nv.status.orphans != 0 ||
-          nv.status.log_size != nv.status.applied) {
-        settled = false;
-        break;
-      }
-      if (p == 0) {
-        floor0 = nv.status.floor;
-      } else if (nv.status.floor != floor0) {
-        settled = false;
-      }
+      const FleetChild& c = sup.child(p);
+      const auto& nv = snap[static_cast<std::size_t>(p)];
+      settled = c.running && nv.up && nv.status &&
+                nv.status->epoch == c.epoch && !nv.status->syncing &&
+                nv.status->orphans == 0 &&
+                nv.status->log_size == nv.status->applied &&
+                nv.status->floor == snap[0].status->floor;
     }
     if (settled) break;
   }
 
-  // --- shutdown -------------------------------------------------------------
   for (auto& cl : clients) cl->stop();
-  const auto stop_deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(5'000);
-  auto next_stop_send = std::chrono::steady_clock::now();
-  for (;;) {
-    if (std::chrono::steady_clock::now() >= next_stop_send) {
-      for (ProcessId p = 0; p < opts.n; ++p) {
-        if (children[static_cast<std::size_t>(p)].running) {
-          reactor.send(p, FrameType::kStop, {});
-        }
-      }
-      next_stop_send =
-          std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
-    }
-    bool any_running = false;
-    for (ProcessId p = 0; p < opts.n; ++p) {
-      Child& c = children[static_cast<std::size_t>(p)];
-      if (!c.running) continue;
-      int st = 0;
-      if (::waitpid(c.pid, &st, WNOHANG) == c.pid) {
-        c.exit_status = st;
-        c.reaped = true;
-        c.running = false;
-      } else {
-        any_running = true;
-      }
-    }
-    if (!any_running || std::chrono::steady_clock::now() >= stop_deadline) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  bool clean_exits = true;
-  for (ProcessId p = 0; p < opts.n; ++p) {
-    Child& c = children[static_cast<std::size_t>(p)];
-    if (c.running) {
-      ::kill(c.pid, SIGKILL);
-      int st = 0;
-      ::waitpid(c.pid, &st, 0);
-      c.exit_status = st;
-      c.reaped = true;
-      c.running = false;
-      clean_exits = false;
-    } else if (!c.killed_by_us && c.reaped &&
-               !(WIFEXITED(c.exit_status) &&
-                 WEXITSTATUS(c.exit_status) == 0)) {
-      clean_exits = false;
-    }
-  }
-  reactor.stop();
+  FleetOutcome out = sup.finish(opts.node.store);
+  v.run = std::move(out.run);
 
-  // --- merge: the shards ARE the run ---------------------------------------
-  struct MergedRecord {
-    Time tick = 0;
-    ProcessId p = kInvalidProcess;
-    std::size_t idx = 0;
-    Event e;
-  };
-  std::vector<MergedRecord> merged;
+  // Every batch action any shard initiated, and each replica's apply
+  // sequence: its durable kDo order joined to its service log.
   std::set<ActionId> initiated;
-  std::vector<std::vector<ActionId>> do_order(
-      static_cast<std::size_t>(opts.n));
-  for (ProcessId p = 0; p < opts.n; ++p) {
-    ProcessStore shard(opts.run_dir, p, opts.node.store, {});
-    std::size_t idx = 0;
-    for (const StoreRecord& r : shard.recover()) {
-      merged.push_back({r.t, p, idx++, r.e});
-      if (r.e.kind == EventKind::kInit) initiated.insert(r.e.action);
-      if (r.e.kind == EventKind::kDo) {
-        do_order[static_cast<std::size_t>(p)].push_back(r.e.action);
-      }
-    }
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const MergedRecord& a, const MergedRecord& b) {
-                     if (a.tick != b.tick) return a.tick < b.tick;
-                     if (a.p != b.p) return a.p < b.p;
-                     return a.idx < b.idx;
-                   });
-  Run::Builder b(opts.n);
-  for (const MergedRecord& r : merged) {
-    b.append(r.p, r.e);
-    b.end_step();
-  }
-  v.run = std::move(b).build();
-  v.actions.assign(initiated.begin(), initiated.end());
-
-  // Replica apply sequences: durable kDo order joined to the service logs.
   std::vector<std::vector<SvcBatch>> applied_per_node(
       static_cast<std::size_t>(opts.n));
   std::vector<std::vector<std::pair<std::uint64_t, ActionId>>> applied_slots(
@@ -605,28 +350,24 @@ SvcFleetVerdict run_svc_fleet(const SvcFleetOptions& opts) {
     for (const SvcBatch& sb : SvcDurableLog::read(slog_path)) {
       by_action[sb.action] = sb;
     }
-    for (ActionId a : do_order[static_cast<std::size_t>(p)]) {
-      auto it = by_action.find(a);
+    for (const Event& e : v.run->history(p).events()) {
+      if (e.kind == EventKind::kInit) initiated.insert(e.action);
+      if (e.kind != EventKind::kDo) continue;
+      auto it = by_action.find(e.action);
       if (it == by_action.end()) {
         join_ok = false;
         continue;
       }
       applied_per_node[static_cast<std::size_t>(p)].push_back(it->second);
       applied_slots[static_cast<std::size_t>(p)].push_back(
-          {it->second.slot, a});
+          {it->second.slot, e.action});
     }
   }
+  v.actions.assign(initiated.begin(), initiated.end());
 
   // --- verdict --------------------------------------------------------------
-  v.clean_exits = clean_exits;
-  {
-    std::lock_guard<std::mutex> lk(mu);
-    for (const auto& [key, rc] : counters_by) v.counters.merge(rc);
-  }
-  fold_wire_counters(reactor.counters(), &v.counters);
-  v.counters.crashes = crash_count;
-  v.counters.restarts = restart_count;
-  v.counters.events_recorded = merged.size();
+  v.clean_exits = out.clean_exits;
+  v.counters = out.counters;
   v.coord = check_nudc(*v.run, v.actions, /*grace=*/0);
   {
     std::lock_guard<std::mutex> lk(done_mu);
@@ -647,7 +388,7 @@ SvcFleetVerdict run_svc_fleet(const SvcFleetOptions& opts) {
   }
   v.conformant = v.status == BudgetStatus::kComplete && v.coord.achieved() &&
                  v.sessions.achieved() && v.log_agreement.achieved() &&
-                 clean_exits;
+                 v.clean_exits;
   return v;
 }
 

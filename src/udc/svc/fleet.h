@@ -1,7 +1,8 @@
 // run_svc_fleet: the replicated coordination service under chaos, at live
 // load, with the verdict lifted from the survivors' disks.
 //
-// The supervisor forks one udc_svc_node per replica, points a set of
+// The second driver on FleetSupervisor (rt/remote/supervisor.h): the
+// supervisor forks one udc_svc_node per replica, the driver points a set of
 // SvcClients (svc/client.h) at the fleet, and drives an OPEN-LOOP workload:
 // arrivals follow a heavy-tailed (bounded-Pareto) interarrival process and
 // do not wait for completions, so overload and failover latency land in the

@@ -7,12 +7,10 @@
 #include <condition_variable>
 #include <deque>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -23,7 +21,6 @@
 #include "udc/event/event.h"
 #include "udc/net/reactor.h"
 #include "udc/net/wire.h"
-#include "udc/rt/remote/lamport.h"
 #include "udc/store/group_commit.h"
 #include "udc/svc/lease.h"
 #include "udc/svc/log.h"
@@ -32,45 +29,6 @@
 #include "udc/svc/wire.h"
 
 namespace udc {
-
-std::vector<std::uint64_t> pack_svc_counters(const RuntimeCounters& c) {
-  std::vector<std::uint64_t> v(kSvcCounterSlots, 0);
-  v[kSvcSlotRequests] = c.svc_requests;
-  v[kSvcSlotAdmitted] = c.svc_admitted;
-  v[kSvcSlotDupsSuppressed] = c.svc_dups_suppressed;
-  v[kSvcSlotRetryLater] = c.svc_retry_later;
-  v[kSvcSlotRedirects] = c.svc_redirects;
-  v[kSvcSlotBatchesSealed] = c.svc_batches_sealed;
-  v[kSvcSlotBatchesCommitted] = c.svc_batches_committed;
-  v[kSvcSlotOooCommits] = c.svc_ooo_commits;
-  v[kSvcSlotElections] = c.svc_elections;
-  v[kSvcSlotSyncRounds] = c.svc_sync_rounds;
-  v[kSvcSlotAdoptions] = c.svc_adoptions;
-  v[kSvcSlotLeaseReads] = c.svc_lease_reads;
-  v[kSvcSlotLeaseDenied] = c.svc_lease_denied;
-  return v;
-}
-
-void unpack_svc_counters(const std::vector<std::uint64_t>& v,
-                         std::size_t offset, RuntimeCounters* c) {
-  auto at = [&](std::size_t slot) -> std::size_t {
-    slot += offset;
-    return slot < v.size() ? static_cast<std::size_t>(v[slot]) : 0;
-  };
-  c->svc_requests = at(kSvcSlotRequests);
-  c->svc_admitted = at(kSvcSlotAdmitted);
-  c->svc_dups_suppressed = at(kSvcSlotDupsSuppressed);
-  c->svc_retry_later = at(kSvcSlotRetryLater);
-  c->svc_redirects = at(kSvcSlotRedirects);
-  c->svc_batches_sealed = at(kSvcSlotBatchesSealed);
-  c->svc_batches_committed = at(kSvcSlotBatchesCommitted);
-  c->svc_ooo_commits = at(kSvcSlotOooCommits);
-  c->svc_elections = at(kSvcSlotElections);
-  c->svc_sync_rounds = at(kSvcSlotSyncRounds);
-  c->svc_adoptions = at(kSvcSlotAdoptions);
-  c->svc_lease_reads = at(kSvcSlotLeaseReads);
-  c->svc_lease_denied = at(kSvcSlotLeaseDenied);
-}
 
 namespace {
 
@@ -118,51 +76,6 @@ class SvcMailQueue {
   std::deque<SvcMail> queue_;
 };
 
-// Same discipline as the rt node's recorder: Lamport tick, durable append,
-// in-memory mirror.  Worker thread only.
-class SvcRecorder {
- public:
-  SvcRecorder(LamportClock& clock, ProcessStore& store,
-              std::vector<Event>& mirror)
-      : clock_(clock), store_(store), mirror_(mirror) {}
-
-  Time record(const Event& e) {
-    const Time t = clock_.tick();
-    store_.append(t, e);
-    mirror_.push_back(e);
-    return t;
-  }
-
-  std::size_t mirror_len() const { return mirror_.size(); }
-
- private:
-  LamportClock& clock_;
-  ProcessStore& store_;
-  std::vector<Event>& mirror_;
-};
-
-FaultScript load_svc_script(const std::string& path) {
-  if (path.empty()) return {};
-  std::ifstream in(path);
-  UDC_CHECK(in.good(), "svc node: cannot open fault script file");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return FaultScript::parse(text.str());
-}
-
-bool bidirectional_cut(const FaultScript& script, ProcessId self,
-                       ProcessId peer, Time now) {
-  bool fwd = false;
-  bool rev = false;
-  for (const PartitionWindow& w : script.partitions) {
-    if (now < w.from || now >= w.heal) continue;
-    if (w.senders.contains(self) && w.recipients.contains(peer)) fwd = true;
-    if (w.senders.contains(peer) && w.recipients.contains(self)) rev = true;
-    if (fwd && rev) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int run_svc_node(const SvcNodeOptions& opts) {
@@ -174,7 +87,7 @@ int run_svc_node(const SvcNodeOptions& opts) {
   UDC_CHECK(opts.max_batch_ops >= 1 && opts.max_inflight_slots >= 1,
             "svc node: bad batching limits");
 
-  const FaultScript script = load_svc_script(opts.script_file);
+  const FaultScript script = load_fault_script(opts.script_file);
 
   // --- durable state --------------------------------------------------------
   ProcessStore store(opts.dir, opts.id, opts.store, {});
@@ -192,13 +105,12 @@ int run_svc_node(const SvcNodeOptions& opts) {
   }
   std::optional<GroupCommitter> committer;
   if (opts.store.group_commit) {
-    committer.emplace(
-        GroupCommitOptions{opts.store.barrier, opts.store.flusher_threads});
+    committer.emplace(GroupCommitOptions{opts.store.flusher_threads});
     committer->attach(&store);
   }
 
   LamportClock clock(recovered_tick);
-  SvcRecorder rec(clock, store, mirror);
+  NodeRecorder rec(clock, store, mirror);
 
   const std::string slog_path =
       opts.dir + "/svc-" + std::to_string(opts.id) + ".log";
@@ -233,78 +145,6 @@ int run_svc_node(const SvcNodeOptions& opts) {
   // Value: (batch, durable-send gate for its kInit).
   std::map<ActionId, std::pair<SvcBatch, std::size_t>> orphans;
   RuntimeCounters svcc;
-
-  // --- recovery: rebuild the replicated state machine -----------------------
-  // Last record per action wins: the highest-term acceptance, the only one
-  // the cluster can have committed (svclog.h).
-  std::map<ActionId, SvcBatch> by_action;
-  for (const SvcBatch& b : slog_recovered) by_action[b.action] = b;
-
-  auto apply_batch_content = [&](const SvcBatch& b) {
-    for (const SvcOp& op : b.ops) {
-      if (op.kind != SvcOpKind::kWrite) continue;
-      if (op.reg < 0 || op.reg >= kRegisters) continue;  // never admitted
-      if (sessions.applied(op.session, op.seq)) {
-        ++svcc.svc_dups_suppressed;
-        continue;
-      }
-      if (op.seq != sessions.expected(op.session)) continue;  // checker's job
-      auto& r = regs[static_cast<std::size_t>(op.reg)];
-      r.value = op.value;
-      ++r.version;
-      sessions.record(op.session, op.seq, SvcResult{op.value, r.version});
-      auto pit = pending_seq.find(op.session);
-      if (pit != pending_seq.end() && pit->second <= op.seq) {
-        pending_seq.erase(pit);
-      }
-    }
-  };
-
-  // Replay applies in durable kDo order: an ack preceded every apply, so a
-  // durable kDo is always backed by a durable service-log record.
-  for (ActionId a : wal_do_order) {
-    auto it = by_action.find(a);
-    UDC_CHECK(it != by_action.end(),
-              "svc node: durable kDo without a service-log record");
-    const SvcBatch& b = it->second;
-    log.accept(b);
-    log.mark_committed(b.slot);
-    max_committed_slot = std::max(max_committed_slot, b.slot);
-    apply_batch_content(b);
-    log.mark_applied(b.slot);
-  }
-  // Remaining records are accepted-but-unapplied: hold them for adoption /
-  // catch-up.  An own-owned batch whose kInit the WAL lost is re-recorded
-  // here — safe, because the durable-send gate means its content never left
-  // this process (no other replica can hold a kDo for it), so the fresh
-  // tick still precedes every eventual kDo.  A batch whose slot the replay
-  // committed to different content goes to the orphan stash instead of the
-  // log: it still carries init obligations, and adoption re-homes it.
-  for (const auto& [a, b] : by_action) {
-    if (log.slot_of(a)) continue;
-    std::size_t gate = 0;
-    if (action_owner(a) == opts.id && my_inits.count(a) == 0) {
-      my_inits.insert(a);
-      rec.record(Event::init(a));
-      gate = rec.mirror_len();
-    }
-    if (!log.accept(b)) {
-      orphans.emplace(a, std::make_pair(b, gate));
-      continue;
-    }
-    if (gate != 0) seal_gate[b.slot] = gate;
-  }
-  next_slot = log.max_slot() + 1;
-  commit_floor_learned = log.applied_floor();
-  for (const SvcBatch& b : slog_recovered) {
-    max_term_seen = std::max(max_term_seen, b.term);
-  }
-  term = max_term_seen;
-  for (ActionId a : my_inits) {
-    if (action_owner(a) == opts.id) {
-      admission_seq = std::max(admission_seq, (a & kMaxActionSeq) + 1);
-    }
-  }
 
   // --- wire plane -----------------------------------------------------------
   SvcMailQueue mail;
@@ -354,6 +194,97 @@ int run_svc_node(const SvcNodeOptions& opts) {
           mail.push(std::move(m));
         }
       });
+
+  auto reply_client = [&](ProcessId to, const SvcReply& r) {
+    reactor.send(to, FrameType::kSvcReply, encode_svc_reply(r));
+  };
+
+  // Applies one batch's writes to the registers and the session table.
+  // Recovery replay and the live apply both come through here; only a
+  // serving leader replies, which is never the case during replay.
+  auto apply_ops = [&](const SvcBatch& batch) {
+    for (const SvcOp& op : batch.ops) {
+      if (op.kind != SvcOpKind::kWrite) continue;
+      if (op.reg < 0 || op.reg >= kRegisters) continue;  // never admitted
+      if (sessions.applied(op.session, op.seq)) {
+        ++svcc.svc_dups_suppressed;
+        continue;
+      }
+      if (op.seq != sessions.expected(op.session)) continue;  // checker's job
+      auto& r = regs[static_cast<std::size_t>(op.reg)];
+      r.value = op.value;
+      ++r.version;
+      sessions.record(op.session, op.seq, SvcResult{op.value, r.version});
+      auto pit = pending_seq.find(op.session);
+      if (pit != pending_seq.end() && pit->second <= op.seq) {
+        pending_seq.erase(pit);
+      }
+      if (leader == opts.id && !syncing) {
+        auto cit = client_of.find(op.session);
+        if (cit != client_of.end()) {
+          SvcReply rep;
+          rep.session = op.session;
+          rep.seq = op.seq;
+          rep.status = SvcStatus::kOk;
+          rep.value = op.value;
+          rep.version = r.version;
+          reply_client(cit->second, rep);
+        }
+      }
+    }
+  };
+
+  // --- recovery: rebuild the replicated state machine -----------------------
+  // Last record per action wins: the highest-term acceptance, the only one
+  // the cluster can have committed (svclog.h).
+  std::map<ActionId, SvcBatch> by_action;
+  for (const SvcBatch& b : slog_recovered) by_action[b.action] = b;
+
+  // Replay applies in durable kDo order: an ack preceded every apply, so a
+  // durable kDo is always backed by a durable service-log record.
+  for (ActionId a : wal_do_order) {
+    auto it = by_action.find(a);
+    UDC_CHECK(it != by_action.end(),
+              "svc node: durable kDo without a service-log record");
+    const SvcBatch& b = it->second;
+    log.accept(b);
+    log.mark_committed(b.slot);
+    max_committed_slot = std::max(max_committed_slot, b.slot);
+    apply_ops(b);
+    log.mark_applied(b.slot);
+  }
+  // Remaining records are accepted-but-unapplied: hold them for adoption /
+  // catch-up.  An own-owned batch whose kInit the WAL lost is re-recorded
+  // here — safe, because the durable-send gate means its content never left
+  // this process (no other replica can hold a kDo for it), so the fresh
+  // tick still precedes every eventual kDo.  A batch whose slot the replay
+  // committed to different content goes to the orphan stash instead of the
+  // log: it still carries init obligations, and adoption re-homes it.
+  for (const auto& [a, b] : by_action) {
+    if (log.slot_of(a)) continue;
+    std::size_t gate = 0;
+    if (action_owner(a) == opts.id && my_inits.count(a) == 0) {
+      my_inits.insert(a);
+      rec.record(Event::init(a));
+      gate = rec.mirror_len();
+    }
+    if (!log.accept(b)) {
+      orphans.emplace(a, std::make_pair(b, gate));
+      continue;
+    }
+    if (gate != 0) seal_gate[b.slot] = gate;
+  }
+  next_slot = log.max_slot() + 1;
+  commit_floor_learned = log.applied_floor();
+  for (const SvcBatch& b : slog_recovered) {
+    max_term_seen = std::max(max_term_seen, b.term);
+  }
+  term = max_term_seen;
+  for (ActionId a : my_inits) {
+    if (action_owner(a) == opts.id) {
+      admission_seq = std::max(admission_seq, (a & kMaxActionSeq) + 1);
+    }
+  }
 
   reactor.listen(opts.data_port);
   reactor.set_endpoint(kSupervisorPeer, opts.supervisor_port);
@@ -405,10 +336,6 @@ int run_svc_node(const SvcNodeOptions& opts) {
     }
   };
 
-  auto reply_client = [&](ProcessId to, const SvcReply& r) {
-    reactor.send(to, FrameType::kSvcReply, encode_svc_reply(r));
-  };
-
   auto note_committed = [&](std::uint64_t slot) {
     log.mark_committed(slot);
     max_committed_slot = std::max(max_committed_slot, slot);
@@ -418,36 +345,7 @@ int run_svc_node(const SvcNodeOptions& opts) {
     const SvcLogEntry* e = log.entry(slot);
     if (!e || e->applied) return;
     rec.record(Event::do_action(e->batch.action));
-    const SvcBatch batch = e->batch;  // copy: replies may resize the map
-    for (const SvcOp& op : batch.ops) {
-      if (op.kind != SvcOpKind::kWrite) continue;
-      if (op.reg < 0 || op.reg >= kRegisters) continue;
-      if (sessions.applied(op.session, op.seq)) {
-        ++svcc.svc_dups_suppressed;
-        continue;
-      }
-      if (op.seq != sessions.expected(op.session)) continue;
-      auto& r = regs[static_cast<std::size_t>(op.reg)];
-      r.value = op.value;
-      ++r.version;
-      sessions.record(op.session, op.seq, SvcResult{op.value, r.version});
-      auto pit = pending_seq.find(op.session);
-      if (pit != pending_seq.end() && pit->second <= op.seq) {
-        pending_seq.erase(pit);
-      }
-      if (leader == opts.id && !syncing) {
-        auto cit = client_of.find(op.session);
-        if (cit != client_of.end()) {
-          SvcReply rep;
-          rep.session = op.session;
-          rep.seq = op.seq;
-          rep.status = SvcStatus::kOk;
-          rep.value = op.value;
-          rep.version = r.version;
-          reply_client(cit->second, rep);
-        }
-      }
-    }
+    apply_ops(SvcBatch(e->batch));  // copy: replies may resize the map
     if (log.mark_applied(slot)) ++svcc.svc_ooo_commits;
   };
 
@@ -935,18 +833,8 @@ int run_svc_node(const SvcNodeOptions& opts) {
     s.durable_events = std::min(store.durable_floor(), mirror.size());
     s.syncing = syncing;
     s.done = done;
-    RuntimeCounters rc = svcc;
-    rc.suspicions = detector.suspicions_raised();
-    rc.false_suspicions = detector.false_suspicions();
-    rc.trust_restores = detector.trust_restores();
-    fold_wire_counters(reactor.counters(), &rc);
-    const StoreCounters sc = store.counters();
-    rc.wal_frames_replayed = sc.wal_frames_replayed;
-    rc.snapshots_written = sc.snapshots_written;
-    rc.snapshots_loaded = sc.snapshots_loaded;
-    rc.torn_tails_truncated = sc.torn_tails_truncated;
-    rc.recoveries_total = sc.recoveries_total;
-    rc.wal_group_commits = sc.group_commits;
+    const RuntimeCounters rc =
+        node_status_counters(svcc, detector, reactor, store);
     s.counters = pack_node_counters(rc);
     const auto svcv = pack_svc_counters(rc);
     s.counters.insert(s.counters.end(), svcv.begin(), svcv.end());
@@ -1136,15 +1024,7 @@ int run_svc_node(const SvcNodeOptions& opts) {
       next_resend = wall + opts.resend_interval;
     }
 
-    // Bidirectional partition windows become refuse windows, as in run_node.
-    for (ProcessId q = 0; q < opts.n; ++q) {
-      if (q == opts.id) continue;
-      const bool cut = bidirectional_cut(script, opts.id, q, now);
-      if (cut != refusing[static_cast<std::size_t>(q)]) {
-        refusing[static_cast<std::size_t>(q)] = cut;
-        reactor.set_refuse(q, cut);
-      }
-    }
+    enforce_cuts(script, opts.id, now, reactor, refusing);
 
     if (wall >= next_status) {
       if (sup_up.load(std::memory_order_relaxed)) send_status(false);

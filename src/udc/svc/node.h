@@ -38,32 +38,6 @@
 
 namespace udc {
 
-// Status-frame slots appended AFTER the rt slots (NodeCounterSlot): the
-// node packs pack_node_counters + pack_svc_counters, the supervisor splits
-// at kNodeCounterSlots.
-enum SvcCounterSlot : std::size_t {
-  kSvcSlotRequests = 0,
-  kSvcSlotAdmitted,
-  kSvcSlotDupsSuppressed,
-  kSvcSlotRetryLater,
-  kSvcSlotRedirects,
-  kSvcSlotBatchesSealed,
-  kSvcSlotBatchesCommitted,
-  kSvcSlotOooCommits,
-  kSvcSlotElections,
-  kSvcSlotSyncRounds,
-  kSvcSlotAdoptions,
-  kSvcSlotLeaseReads,
-  kSvcSlotLeaseDenied,
-  kSvcCounterSlots,
-};
-
-std::vector<std::uint64_t> pack_svc_counters(const RuntimeCounters& c);
-// Unpacks the svc slots from `v` starting at `offset` (the rt slot count in
-// a status frame) into the matching fields of `c`.
-void unpack_svc_counters(const std::vector<std::uint64_t>& v,
-                         std::size_t offset, RuntimeCounters* c);
-
 struct SvcNodeOptions {
   ProcessId id = kInvalidProcess;
   int n = 0;

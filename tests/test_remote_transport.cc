@@ -159,7 +159,8 @@ TEST(RemoteTransport, WatermarkOverflowFoldsIntoChannelLoss) {
   topts.dedup_window = 4;
   Bench b(topts);
   // seq 1 lost on the wire; 2..7 arrive out of order ahead of it.  The
-  // window (4) overflows and folds: watermark jumps to the max seen.
+  // window (4) overflows and folds its oldest gap, seq 1: the watermark
+  // runs up through 2..7.
   for (std::uint64_t s = 2; s <= 7; ++s) {
     b.transport.on_wire_data(1, 0, data_from(1, 0, s));
   }

@@ -10,7 +10,7 @@
 // unless --keep) and its own seed; protocols alternate strongfd/majority and
 // the durability mode cycles every-N / every-append / never / group-commit
 // (single-file batch) / group-commit (aggressive batch) / segmented+staged
-// (io_uring-or-auto barrier) / segmented+staged (flusher pool), so the
+// (serial barrier) / segmented+staged (flusher pool), so the
 // truncate-to-synced fault exercises every loss window the store supports —
 // including "since the last group commit", per shard and per segment
 // (DESIGN.md §10-§11).
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
       rt.store.group_commit = false;
       rt.store.segment_bytes = 0;
       rt.store.ring_frames = 0;
-      rt.store.barrier = CommitBarrier::kAuto;
+      rt.store.flusher_threads = 4;
       rt.store.commit_every = 32;
       rt.store.commit_interval = std::chrono::microseconds(500);
       switch (durability) {
@@ -215,10 +215,12 @@ int main(int argc, char** argv) {
           break;
         case 5:
           // Segmented + staged, tiny segments so every run crosses several
-          // segment boundaries and kills land mid-segment and mid-seal.
+          // segment boundaries and kills land mid-segment and mid-seal;
+          // one flusher thread, so the barrier is the serial engine.
           rt.store.group_commit = true;
           rt.store.segment_bytes = 1024;
           rt.store.ring_frames = 64;
+          rt.store.flusher_threads = 1;
           rt.store.commit_every = 16;
           rt.store.commit_interval = std::chrono::microseconds(300);
           break;
@@ -228,7 +230,6 @@ int main(int argc, char** argv) {
           rt.store.group_commit = true;
           rt.store.segment_bytes = 1024;
           rt.store.ring_frames = 32;
-          rt.store.barrier = CommitBarrier::kPool;
           rt.store.flusher_threads = 2;
           rt.store.commit_every = 4;
           rt.store.commit_interval = std::chrono::microseconds(200);
