@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "udc/common/check.h"
@@ -12,19 +13,22 @@
 namespace udc {
 
 namespace detail {
+// The message is the whole what(): a command-line tool prints it as is.
 template <typename T, typename F>
 T checked_parse(const std::string& text, const char* what, F&& convert) {
+  std::size_t used = 0;
+  T value{};
   try {
-    std::size_t used = 0;
-    T value = convert(text, &used);
-    UDC_CHECK(used == text.size(),
-              std::string("trailing junk in ") + what + ": '" + text + "'");
-    return value;
-  } catch (const InvariantViolation&) {
-    throw;
+    value = convert(text, &used);
   } catch (const std::exception&) {
-    UDC_CHECK(false, std::string("malformed ") + what + ": '" + text + "'");
+    throw InvariantViolation(std::string("malformed ") + what + ": '" + text +
+                             "'");
   }
+  if (used != text.size()) {
+    throw InvariantViolation(std::string("trailing junk in ") + what + ": '" +
+                             text + "'");
+  }
+  return value;
 }
 }  // namespace detail
 
@@ -44,6 +48,8 @@ inline long long parse_i64(const std::string& text, const char* what) {
 inline std::uint64_t parse_u64(const std::string& text, const char* what) {
   return detail::checked_parse<std::uint64_t>(
       text, what, [](const std::string& s, std::size_t* used) {
+        // stoull negates "-1" into 2^64 - 1 instead of refusing it.
+        if (s.find('-') != std::string::npos) throw std::invalid_argument(s);
         return std::stoull(s, used);
       });
 }

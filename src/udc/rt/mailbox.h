@@ -6,7 +6,9 @@
 // producers.  A closed mailbox models a down process: pushes are refused
 // (the transport treats that as a channel loss and keeps retrying under its
 // backoff schedule), and queued mail is discarded — a crashed process loses
-// exactly its undelivered input, nothing else.
+// exactly its undelivered input, nothing else.  The queue is a template over
+// the mail type: the service node (svc/node.cc) queues raw wire frames
+// through the same discipline.
 #pragma once
 
 #include <chrono>
@@ -40,11 +42,12 @@ struct RtMail {
 // that as channel loss and keeps retrying, the supervisor counts it.
 enum class MailboxPush { kAccepted, kClosed };
 
-class Mailbox {
+template <typename Mail>
+class BasicMailbox {
  public:
   // kClosed iff the mailbox is closed (the process is down); the mail is
   // then refused, exactly like a message lost on the wire.
-  MailboxPush push(RtMail mail) {
+  MailboxPush push(Mail mail) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_) return MailboxPush::kClosed;
@@ -57,11 +60,11 @@ class Mailbox {
   // Pops the next mail, waiting up to `timeout`.  nullopt on timeout or
   // close — the worker loop uses the timeout slot for pacing (heartbeats,
   // detector polls, protocol on_tick).
-  std::optional<RtMail> pop_for(std::chrono::microseconds timeout) {
+  std::optional<Mail> pop_for(std::chrono::microseconds timeout) {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait_for(lock, timeout, [this] { return closed_ || !queue_.empty(); });
     if (queue_.empty()) return std::nullopt;
-    RtMail mail = std::move(queue_.front());
+    Mail mail = std::move(queue_.front());
     queue_.pop_front();
     return mail;
   }
@@ -84,8 +87,10 @@ class Mailbox {
  private:
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<RtMail> queue_;
+  std::deque<Mail> queue_;
   bool closed_ = false;
 };
+
+using Mailbox = BasicMailbox<RtMail>;
 
 }  // namespace udc

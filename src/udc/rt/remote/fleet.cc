@@ -21,20 +21,12 @@ namespace {
 // The rt node's own flags; the supervisor adds identity, epoch and seed.
 std::vector<std::string> node_args(const FleetOptions& opts,
                                    const std::string& script_path) {
-  auto arg = [](const std::string& k, const auto& v) {
-    std::ostringstream os;
-    os << k << '=' << v;
-    return os.str();
-  };
-  std::vector<std::string> a;
-  a.push_back(arg("--t", opts.t));
-  a.push_back(arg("--protocol", opts.protocol));
-  a.push_back(arg("--resend-interval", opts.resend_interval));
-  a.push_back(arg("--wal-dir", opts.run_dir));
-  if (!script_path.empty()) a.push_back(arg("--script", script_path));
-  a.push_back(arg("--background-drop", opts.background_drop));
-  a.push_back(arg("--hb-interval", opts.heartbeat.interval));
-  a.push_back(arg("--hb-timeout", opts.heartbeat.initial_timeout));
+  std::ostringstream drop;
+  drop << "--background-drop=" << opts.background_drop;
+  std::vector<std::string> a{"--t=" + std::to_string(opts.t),
+                             "--protocol=" + opts.protocol,
+                             "--wal-dir=" + opts.run_dir, drop.str()};
+  if (!script_path.empty()) a.push_back("--script=" + script_path);
   return a;
 }
 
@@ -218,7 +210,7 @@ FleetVerdict run_fleet(const FleetOptions& opts) {
     if (done) break;
   }
 
-  FleetOutcome out = sup.finish(opts.store);
+  FleetOutcome out = sup.finish(mp_store_options());
   FleetVerdict v;
   v.status = status;
   v.clean_exits = out.clean_exits;

@@ -40,7 +40,6 @@
 #include "udc/coord/metrics.h"
 #include "udc/coord/spec.h"
 #include "udc/event/run.h"
-#include "udc/fd/heartbeat.h"
 #include "udc/fd/properties.h"
 #include "udc/rt/remote/node.h"
 #include "udc/sim/context.h"
@@ -55,10 +54,6 @@ struct FleetOptions {
   FaultScript script;                   // sanitized internally
   double background_drop = 0.0;
   std::uint64_t seed = 1;
-
-  Time resend_interval = 64;
-  HeartbeatOptions heartbeat{/*interval=*/24, /*initial_timeout=*/240,
-                             /*timeout_backoff=*/2.0, /*max_timeout=*/4096};
 
   // Scripted crashes: SIGKILL, then either permanent (verdict checks DC2 /
   // UDC) or re-exec'd with epoch+1 after `restart_after` ticks (DC2' /
@@ -82,7 +77,6 @@ struct FleetOptions {
   // The udc_rt_node executable to exec.
   std::string node_binary;
 
-  StoreOptions store = mp_store_options();
   Time grace = 0;  // spec-check grace for the lifted run
   std::chrono::milliseconds deadline{20'000};
 };

@@ -1,11 +1,13 @@
 #include "udc/rt/remote/node.h"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -13,13 +15,14 @@
 
 #include "udc/chaos/fault_script.h"
 #include "udc/common/check.h"
+#include "udc/common/guarded_main.h"
+#include "udc/common/parse_num.h"
 #include "udc/common/rng.h"
 #include "udc/coord/action.h"
 #include "udc/event/event.h"
 #include "udc/net/wire.h"
 #include "udc/rt/mailbox.h"
 #include "udc/sim/process.h"
-#include "udc/store/group_commit.h"
 
 namespace udc {
 
@@ -47,6 +50,9 @@ RuntimeCounters node_status_counters(RuntimeCounters base,
   return base;
 }
 
+namespace {
+
+// The chaos script file the supervisor wrote for this node ("" = none).
 FaultScript load_fault_script(const std::string& path) {
   if (path.empty()) return {};
   std::ifstream in(path);
@@ -55,8 +61,6 @@ FaultScript load_fault_script(const std::string& path) {
   text << in.rdbuf();
   return FaultScript::parse(text.str());
 }
-
-namespace {
 
 bool bidirectional_cut(const FaultScript& script, ProcessId self,
                        ProcessId peer, Time now) {
@@ -77,9 +81,8 @@ bool bidirectional_cut(const FaultScript& script, ProcessId self,
 // recovered log does not already contain.
 class NodeEnv final : public Env {
  public:
-  NodeEnv(ProcessId self, int n, LamportClock& clock, NodeRecorder& rec,
-          RemoteTransport& transport)
-      : self_(self), n_(n), clock_(clock), rec_(rec), transport_(transport) {}
+  NodeEnv(ProcessId self, int n, NodeShell& shell, RemoteTransport& transport)
+      : self_(self), n_(n), shell_(shell), transport_(transport) {}
 
   void begin_replay(std::set<ActionId> already_performed) {
     live_ = false;
@@ -89,19 +92,19 @@ class NodeEnv final : public Env {
 
   ProcessId self() const override { return self_; }
   int n() const override { return n_; }
-  Time now() const override { return clock_.now(); }
+  Time now() const override { return shell_.clock().now(); }
 
   void send(ProcessId to, const Message& msg) override {
     if (!live_) return;
-    const Time tick = rec_.record(Event::send(to, msg));
+    const Time tick = shell_.record(Event::send(to, msg));
     // Gate: this frame may not reach a socket until the store's durable
     // floor covers the kSend just appended.
-    transport_.send(to, msg, tick, rec_.mirror_len());
+    transport_.send(to, msg, tick, shell_.mirror_len());
   }
 
   void perform(ActionId alpha) override {
     if (!live_ && wal_performed_.count(alpha) > 0) return;
-    rec_.record(Event::do_action(alpha));
+    shell_.record(Event::do_action(alpha));
   }
 
   bool outbox_empty() const override { return true; }
@@ -110,15 +113,18 @@ class NodeEnv final : public Env {
  private:
   ProcessId self_;
   int n_;
-  LamportClock& clock_;
-  NodeRecorder& rec_;
+  NodeShell& shell_;
   RemoteTransport& transport_;
   bool live_ = true;
   std::set<ActionId> wal_performed_;
 };
 
-}  // namespace
-
+// Lowers the script's partition windows that cut BOTH directions of a
+// (self, peer) pair to reactor refuse windows: the stream is torn down and
+// the peer's handshake bounced while the window is open.  One-directional
+// windows stay in the drop shim (a live TCP stream that eats one
+// direction).  `refusing` holds one flag per peer; the reactor hears only
+// the edges.
 void enforce_cuts(const FaultScript& script, ProcessId self, Time now,
                   Reactor& reactor, std::vector<bool>& refusing) {
   for (ProcessId q = 0; q < static_cast<ProcessId>(refusing.size()); ++q) {
@@ -131,119 +137,220 @@ void enforce_cuts(const FaultScript& script, ProcessId self, Time now,
   }
 }
 
-int run_node(const NodeOptions& opts) {
-  UDC_CHECK(opts.n >= 1 && opts.n <= kMaxProcesses, "node: bad n");
-  UDC_CHECK(opts.id >= 0 && opts.id < opts.n, "node: bad process id");
-  UDC_CHECK(opts.t >= 0 && opts.t < opts.n, "node: bad t");
-  UDC_CHECK(opts.supervisor_port != 0, "node: bad supervisor port");
-  UDC_CHECK(!opts.wal_dir.empty() &&
-                std::filesystem::is_directory(opts.wal_dir),
-            "node: wal dir missing");
-  UDC_CHECK(opts.resend_interval >= 1, "node: bad resend interval");
+constexpr auto kStatusEvery = std::chrono::milliseconds(2);
 
-  const FaultScript script = load_fault_script(opts.script_file);
+const NodeIdentity& checked(const NodeIdentity& id) {
+  UDC_CHECK(id.n >= 1 && id.n <= kMaxProcesses, "node: bad n");
+  UDC_CHECK(id.id >= 0 && id.id < id.n, "node: bad process id");
+  UDC_CHECK(id.supervisor_port != 0, "node: bad supervisor port");
+  UDC_CHECK(!id.dir.empty() && std::filesystem::is_directory(id.dir),
+            "node: dir missing");
+  return id;
+}
 
-  // Durable state first: an epoch > 0 node recovers what its previous
-  // incarnation managed to persist before the SIGKILL landed.
-  ProcessStore store(opts.wal_dir, opts.id, opts.store, {});
-  std::vector<Event> mirror;
-  std::set<ActionId> my_inits;  // recorded (not necessarily durable) kInits
-  std::set<ActionId> wal_performed;
-  Time recovered_tick = 0;  // last recovered tick: logical time resumes past it
-  if (opts.epoch > 0) {
-    for (const StoreRecord& r : store.recover()) {
-      mirror.push_back(r.e);
-      if (r.t > recovered_tick) recovered_tick = r.t;
-      if (r.e.kind == EventKind::kInit) my_inits.insert(r.e.action);
-      if (r.e.kind == EventKind::kDo) wal_performed.insert(r.e.action);
+// Durable state first: an epoch > 0 node recovers what its previous
+// incarnation managed to persist before the SIGKILL landed.  Returns the
+// last recovered tick: logical time resumes past it.
+Time recover_prefix(std::uint64_t epoch, ProcessStore& store,
+                    std::vector<Event>& mirror) {
+  Time last = 0;
+  if (epoch == 0) return last;
+  for (const StoreRecord& r : store.recover()) {
+    mirror.push_back(r.e);
+    last = std::max(last, r.t);
+  }
+  return last;
+}
+
+[[noreturn]] void reject(const NodeFlagSpec& spec, const std::string& why) {
+  std::fprintf(stderr, "%s: %s\n%s", spec.binary, why.c_str(), spec.usage);
+  std::exit(2);
+}
+
+std::uint16_t parse_port(const std::string& text, const char* flag,
+                         long long lo) {
+  const long long port = parse_i64(text, flag);
+  if (port < lo || port > 65535) {
+    throw InvariantViolation(std::string(flag) + " out of range [" +
+                             std::to_string(lo) + ", 65535]: '" + text + "'");
+  }
+  return static_cast<std::uint16_t>(port);
+}
+
+void parse_node_flags(int argc, char** argv, const NodeFlagSpec& spec,
+                      NodeIdentity* out) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help") {
+      std::fputs(spec.usage, stderr);
+      std::exit(2);
+    }
+    const std::size_t eq = arg.find('=');
+    if (eq == std::string::npos) reject(spec, "unknown flag: " + arg);
+    const std::string key = arg.substr(0, eq);
+    const std::string v = arg.substr(eq + 1);
+    try {
+      if (key == "--id") {
+        out->id = parse_int(v, "--id");
+      } else if (key == "--n") {
+        out->n = parse_int(v, "--n");
+      } else if (key == "--epoch") {
+        out->epoch = parse_u64(v, "--epoch");
+      } else if (key == "--run-id") {
+        out->run_id = parse_u64(v, "--run-id");
+      } else if (key == "--supervisor-port") {
+        out->supervisor_port = parse_port(v, "--supervisor-port", 1);
+      } else if (key == "--data-port") {
+        out->data_port = parse_port(v, "--data-port", 0);
+      } else if (key == spec.dir_flag) {
+        out->dir = v;
+      } else if (key == "--script") {
+        out->script_file = v;
+      } else if (key == "--seed") {
+        out->seed = parse_u64(v, "--seed");
+      } else if (!spec.extra(key, v)) {
+        reject(spec, "unknown flag: " + arg);
+      }
+    } catch (const InvariantViolation& e) {
+      reject(spec, e.what());
     }
   }
-  std::optional<GroupCommitter> committer;
-  if (opts.store.group_commit) {
-    committer.emplace(GroupCommitOptions{opts.store.flusher_threads});
-    committer->attach(&store);
+  if (out->n < 1 || out->n > kMaxProcesses || out->id < 0 ||
+      out->id >= out->n || !spec.identity_ok()) {
+    reject(spec, std::string("bad or missing ") + spec.identity_flags);
   }
+  if (out->supervisor_port == 0) reject(spec, "--supervisor-port required");
+  if (out->dir.empty() || !std::filesystem::is_directory(out->dir)) {
+    reject(spec, std::string(spec.dir_flag) + " missing or not a directory");
+  }
+  if (!out->script_file.empty() &&
+      !std::filesystem::exists(out->script_file)) {
+    reject(spec, "--script file does not exist");
+  }
+}
 
-  LamportClock clock(recovered_tick);
-  NodeRecorder rec(clock, store, mirror);
+}  // namespace
 
-  Mailbox mailbox;
-  AtomicRuntimeCounters atomic_counters;
-
-  // --- wire plane -----------------------------------------------------------
-  ReactorOptions ropts;
-  ropts.self = opts.id;
-  ropts.n = opts.n;
-  ropts.epoch = opts.epoch;
-  ropts.run_id = opts.run_id;
-  ropts.seed = opts.seed ^ 0x77697265ull;  // "wire"
-  std::atomic<bool> sup_up{false};
-  std::atomic<bool> sup_ever_up{false};
-
-  RemoteTransport* transport_ptr = nullptr;
-  Reactor reactor(
-      ropts,
-      [&](ProcessId peer, std::uint64_t epoch, const WireFrame& f) {
-        if (peer == kSupervisorPeer) {
-          switch (f.type) {
-            case FrameType::kInit: {
-              if (auto i = decode_init(f.payload.data(), f.payload.size())) {
-                RtMail m;
-                m.kind = RtMail::Kind::kInit;
-                m.action = i->action;
-                mailbox.push(std::move(m));
-              }
-              break;
-            }
-            case FrameType::kStop: {
-              RtMail m;
-              m.kind = RtMail::Kind::kStop;
-              mailbox.push(std::move(m));
-              break;
-            }
-            case FrameType::kPeers: {
+NodeShell::NodeShell(const NodeIdentity& id, std::uint64_t wire_salt,
+                     bool accept_clients)
+    : id_(checked(id)),
+      script_(load_fault_script(id.script_file)),
+      store_(id.dir, id.id, mp_store_options(), {}),
+      clock_(recover_prefix(id.epoch, store_, mirror_)),
+      committer_(GroupCommitOptions{mp_store_options().flusher_threads}),
+      refusing_(static_cast<std::size_t>(id.n), false),
+      reactor_(
+          ReactorOptions{.self = id.id,
+                         .n = id.n,
+                         .epoch = id.epoch,
+                         .run_id = id.run_id,
+                         .seed = id.seed ^ wire_salt,
+                         .accept_clients = accept_clients},
+          [this](ProcessId peer, std::uint64_t epoch, const WireFrame& f) {
+            const bool sup = peer == kSupervisorPeer;
+            if (sup && f.type == FrameType::kStop) {
+              hooks_.stop();
+            } else if (sup && f.type == FrameType::kPeers) {
               if (auto p = decode_peers(f.payload.data(), f.payload.size())) {
                 // One dialer per pair: we dial only peers below our id (we
                 // accept the rest), so duplicate streams cannot arise.
                 for (const auto& [pid, port] : p->ports) {
-                  if (pid >= 0 && pid < opts.id && port != 0) {
-                    reactor.set_endpoint(pid, port);
+                  if (pid >= 0 && pid < id_.id && port != 0) {
+                    reactor_.set_endpoint(pid, port);
                   }
                 }
               }
-              break;
+            } else {
+              hooks_.frame(peer, epoch, f);
             }
-            default:
-              break;
-          }
-          return;
-        }
-        if (f.type == FrameType::kData) {
-          if (auto d = decode_data(f.payload.data(), f.payload.size())) {
-            transport_ptr->on_wire_data(peer, epoch, *d);
-          }
-        } else if (f.type == FrameType::kAck) {
-          if (auto a = decode_ack(f.payload.data(), f.payload.size())) {
-            transport_ptr->on_wire_ack(peer, *a);
-          }
-        }
-      },
-      [&](ProcessId peer, std::uint64_t /*epoch*/, bool up,
-          std::uint16_t /*data_port*/) {
-        if (peer == kSupervisorPeer) {
-          sup_up.store(up, std::memory_order_relaxed);
-          if (up) sup_ever_up.store(true, std::memory_order_relaxed);
-        } else if (up) {
-          // Reconnect-as-rejoin: the dead stream took in-flight frames with
-          // it; re-arm every pending send for immediate retransmission.
-          transport_ptr->on_peer_up(peer);
-        }
-      });
+          },
+          [this](ProcessId peer, std::uint64_t /*epoch*/, bool up,
+                 std::uint16_t /*data_port*/) {
+            if (peer == kSupervisorPeer) {
+              sup_up_.store(up, std::memory_order_relaxed);
+              if (up) sup_ever_up_.store(true, std::memory_order_relaxed);
+            } else if (up && peer >= 0 && peer < id_.n) {
+              hooks_.peer_up(peer);
+            }
+          }) {
+  committer_.attach(&store_);
+}
+
+NodeShell::Started NodeShell::start(Hooks hooks) {
+  hooks_ = std::move(hooks);
+  reactor_.listen(id_.data_port);  // hellos advertise the bound port
+  reactor_.set_endpoint(kSupervisorPeer, id_.supervisor_port);
+  reactor_.start();
+  next_status_ = sup_down_since_ = std::chrono::steady_clock::now();
+  return Started(&reactor_);
+}
+
+bool NodeShell::end_pass(Time now, std::chrono::steady_clock::time_point wall) {
+  enforce_cuts(script_, id_.id, now, reactor_, refusing_);
+  const bool up = sup_up_.load(std::memory_order_relaxed);
+  if (wall >= next_status_) {
+    if (up) hooks_.status(false);
+    next_status_ = wall + kStatusEvery;
+  }
+  // Orphan watchdog: the clock starts once we have connected at least once.
+  if (up || !sup_ever_up_.load(std::memory_order_relaxed)) {
+    sup_down_since_ = wall;
+  } else if (wall - sup_down_since_ > kOrphanAfter) {
+    orphaned_ = true;
+  }
+  return !orphaned_;
+}
+
+int NodeShell::finish() {
+  // Make everything durable, report the final durable state with
+  // done=true, give the frame a moment to drain, then tear down.
+  committer_.stop();
+  store_.flush();
+  if (!orphaned_ && sup_up_.load(std::memory_order_relaxed)) {
+    hooks_.status(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  }
+  reactor_.stop();
+  return orphaned_ ? 3 : 0;
+}
+
+int node_main(int argc, char** argv, const NodeFlagSpec& spec,
+              NodeIdentity* flags, const std::function<int()>& run) {
+  return guarded_main(spec.binary, [&] {
+    parse_node_flags(argc, argv, spec, flags);
+    try {
+      return run();
+    } catch (const InvariantViolation& e) {
+      // An unbindable data port is an environment problem (port in use),
+      // not a broken invariant: report it like the other usage errors.
+      if (std::strstr(e.what(), "bind") == nullptr) throw;
+      std::fprintf(stderr, "%s: cannot bind data port: %s\n", spec.binary,
+                   e.what());
+      return 2;
+    }
+  });
+}
+
+int run_node(const NodeOptions& opts) {
+  UDC_CHECK(opts.t >= 0 && opts.t < opts.n, "node: bad t");
+  NodeShell shell(opts, 0x77697265ull, /*accept_clients=*/false);  // "wire"
+  LamportClock& clock = shell.clock();
+  Reactor& reactor = shell.reactor();
+
+  std::set<ActionId> my_inits;  // recorded (not necessarily durable) kInits
+  std::set<ActionId> wal_performed;
+  for (const Event& e : shell.mirror()) {
+    if (e.kind == EventKind::kInit) my_inits.insert(e.action);
+    if (e.kind == EventKind::kDo) wal_performed.insert(e.action);
+  }
+
+  Mailbox mailbox;
+  AtomicRuntimeCounters atomic_counters;
 
   // Chaos shim: scripted silences, partitions and bursts become real
   // socket-level drops, applied to outbound kData frames only (handshake,
   // keepalive and acks are infrastructure beneath the script's channels).
-  ScriptDropPolicy drop_policy(script, opts.background_drop);
+  ScriptDropPolicy drop_policy(shell.script(), opts.background_drop);
   Rng shim_rng(opts.seed ^ 0x7368696dull);  // "shim"
   reactor.set_shim([&](ProcessId peer, const WireFrame& f) {
     if (f.type != FrameType::kData || peer == kSupervisorPeer) return true;
@@ -252,11 +359,9 @@ int run_node(const NodeOptions& opts) {
     return !drop_policy.drop(opts.id, peer, d->msg, clock.now(), shim_rng);
   });
 
-  const std::uint16_t data_port = reactor.listen(opts.data_port);
-  (void)data_port;  // advertised automatically (hellos carry the bound port)
-
+  ProcessStore& store = shell.store();
   RemoteTransport transport(
-      opts.id, opts.n, opts.transport, reactor,
+      opts.id, opts.n, RemoteTransportOptions{}, reactor,
       [&store] { return store.durable_floor(); },
       [&clock] { return clock.now(); },
       [&clock](Time remote) { clock.observe(remote); },
@@ -269,51 +374,24 @@ int run_node(const NodeOptions& opts) {
         mailbox.push(std::move(m));
       },
       atomic_counters, opts.seed);
-  transport_ptr = &transport;
-
-  reactor.set_endpoint(kSupervisorPeer, opts.supervisor_port);
-  reactor.start();
 
   // --- protocol plane -------------------------------------------------------
-  const ProtocolFactory factory =
-      live_protocol_factory(opts.protocol, opts.t, opts.resend_interval);
-  std::unique_ptr<Process> proto = factory(opts.id);
-  NodeEnv env(opts.id, opts.n, clock, rec, transport);
+  std::unique_ptr<Process> proto =
+      live_protocol_factory(opts.protocol, opts.t)(opts.id);
+  NodeEnv env(opts.id, opts.n, shell, transport);
 
   if (opts.epoch == 0) {
     proto->on_start(env);
   } else {
     // Replay the recovered prefix through a fresh protocol instance, then
     // tell every peer we restarted from a possibly lossy disk (kRejoin,
-    // reliable but unrecorded) so they withdraw stale ack-state.
+    // reliable but unrecorded) so they withdraw stale ack-state.  A
+    // replayed handler may re-record a kDo lost from the WAL suffix, which
+    // appends to the mirror being replayed: replay_history reads only the
+    // recovered prefix, by index and by copy.
     env.begin_replay(wal_performed);
     proto->on_start(env);
-    // Replay only the recovered prefix, by index and by copy: a replayed
-    // handler may call env.perform (re-recording a kDo lost from the WAL
-    // suffix), which appends to `mirror` and would invalidate range-for
-    // iterators mid-loop.
-    const std::size_t recovered = mirror.size();
-    for (std::size_t i = 0; i < recovered; ++i) {
-      const Event e = mirror[i];
-      switch (e.kind) {
-        case EventKind::kInit:
-          proto->on_init(e.action, env);
-          break;
-        case EventKind::kRecv:
-          proto->on_receive(e.peer, e.msg, env);
-          break;
-        case EventKind::kSuspect:
-          proto->on_suspect(e.suspects, env);
-          break;
-        case EventKind::kSuspectGen:
-          proto->on_suspect_gen(e.suspects, e.k, env);
-          break;
-        case EventKind::kSend:
-        case EventKind::kDo:
-        case EventKind::kCrash:
-          break;
-      }
-    }
+    replay_history(*proto, env, shell.mirror());
     env.end_replay();
     Message rejoin;
     rejoin.kind = MsgKind::kRejoin;
@@ -322,18 +400,16 @@ int run_node(const NodeOptions& opts) {
     }
   }
 
-  HeartbeatDetector detector(opts.n, opts.id, opts.heartbeat, clock.now());
+  HeartbeatDetector detector(opts.n, opts.id, kLiveHeartbeat, clock.now());
   Message hb_msg;
   hb_msg.kind = MsgKind::kHeartbeat;
   Time next_hb = 0;
-
-  // Refuse-window edge tracking, one flag per peer.
-  std::vector<bool> refusing(static_cast<std::size_t>(opts.n), false);
 
   // Status plumbing: everything reported derives from the DURABLE prefix.
   std::set<ActionId> durable_inits;
   std::set<ActionId> durable_performs;
   std::size_t scanned = 0;
+  const std::vector<Event>& mirror = shell.mirror();
   auto send_status = [&](bool done) {
     const std::size_t floor = store.durable_floor();
     const std::size_t limit = std::min(floor, mirror.size());
@@ -355,14 +431,37 @@ int run_node(const NodeOptions& opts) {
     reactor.send(kSupervisorPeer, FrameType::kStatus, encode_status(s));
   };
 
-  constexpr auto kStatusEvery = std::chrono::milliseconds(2);
-  auto next_status = std::chrono::steady_clock::now();
-  auto sup_down_since = std::chrono::steady_clock::now();
-  bool stopping = false;
-  int exit_code = 0;
+  const NodeShell::Started started = shell.start({
+      .frame =
+          [&](ProcessId peer, std::uint64_t epoch, const WireFrame& f) {
+            if (peer == kSupervisorPeer) {
+              if (f.type != FrameType::kInit) return;
+              if (auto i = decode_init(f.payload.data(), f.payload.size())) {
+                RtMail m;
+                m.kind = RtMail::Kind::kInit;
+                m.action = i->action;
+                mailbox.push(std::move(m));
+              }
+            } else if (f.type == FrameType::kData) {
+              if (auto d = decode_data(f.payload.data(), f.payload.size())) {
+                transport.on_wire_data(peer, epoch, *d);
+              }
+            } else if (f.type == FrameType::kAck) {
+              if (auto a = decode_ack(f.payload.data(), f.payload.size())) {
+                transport.on_wire_ack(peer, *a);
+              }
+            }
+          },
+      // Reconnect-as-rejoin: the dead stream took in-flight frames with
+      // it; re-arm every pending send for immediate retransmission.
+      .peer_up = [&](ProcessId peer) { transport.on_peer_up(peer); },
+      .stop = [&] { mailbox.push(RtMail{}); },  // a default RtMail is kStop
+      .status = send_status,
+  });
 
+  bool stopping = false;
   while (!stopping) {
-    auto mail = mailbox.pop_for(std::chrono::microseconds(300));
+    auto mail = mailbox.pop_for(kNodePoll);
     if (mail) {
       if (mail->kind == RtMail::Kind::kStop) {
         stopping = true;
@@ -374,7 +473,7 @@ int run_node(const NodeOptions& opts) {
         // source for this node's events, so no duplicate can arise.
         if (my_inits.count(mail->action) == 0) {
           my_inits.insert(mail->action);
-          rec.record(Event::init(mail->action));
+          shell.record(Event::init(mail->action));
           proto->on_init(mail->action, env);
         }
       } else if (mail->msg.kind == MsgKind::kHeartbeat) {
@@ -382,7 +481,7 @@ int run_node(const NodeOptions& opts) {
       } else if (mail->msg.kind == MsgKind::kRejoin) {
         proto->on_peer_recovered(mail->from, env);
       } else {
-        const Time rt = rec.record(Event::recv(mail->from, mail->msg));
+        const Time rt = shell.record(Event::recv(mail->from, mail->msg));
         // R3 over real sockets: the sender recorded its kSend at send_tick,
         // the envelope carried the sender's clock, observe() folded it in
         // before this mail was enqueued — so our recv tick must exceed it.
@@ -401,45 +500,20 @@ int run_node(const NodeOptions& opts) {
       for (ProcessId q = 0; q < opts.n; ++q) {
         if (q != opts.id) transport.send_heartbeat(q, hb_msg);
       }
-      next_hb = now + opts.heartbeat.interval;
+      next_hb = now + kLiveHeartbeat.interval;
     }
     if (auto report = detector.poll(now)) {
-      rec.record(Event::suspect(*report));
+      shell.record(Event::suspect(*report));
       proto->on_suspect(*report, env);
     }
     proto->on_tick(env);
     transport.pump();
 
-    enforce_cuts(script, opts.id, now, reactor, refusing);
-
-    const auto wall = std::chrono::steady_clock::now();
-    if (wall >= next_status) {
-      if (sup_up.load(std::memory_order_relaxed)) send_status(false);
-      next_status = wall + kStatusEvery;
-    }
-
-    // Orphan watchdog: a SIGKILLed supervisor must not leave this process
-    // running forever.  The clock starts once we have connected at least
-    // once (startup dialing is not orphanhood).
-    if (sup_up.load(std::memory_order_relaxed) ||
-        !sup_ever_up.load(std::memory_order_relaxed)) {
-      sup_down_since = wall;
-    } else if (wall - sup_down_since > opts.orphan_after) {
+    if (!shell.end_pass(now, std::chrono::steady_clock::now())) {
       stopping = true;
-      exit_code = 3;
     }
   }
-
-  // Orderly exit: make everything durable, report the final durable state
-  // with done=true, give the frame a moment to drain, then tear down.
-  if (committer) committer->stop();
-  store.flush();
-  if (exit_code == 0 && sup_up.load(std::memory_order_relaxed)) {
-    send_status(true);
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  }
-  reactor.stop();
-  return exit_code;
+  return shell.finish();
 }
 
 }  // namespace udc

@@ -22,12 +22,19 @@
 // next kill, and the supervisor's board must never know something no disk
 // remembers.
 //
-// A node whose supervisor stream stays down past `orphan_after` exits with
-// code 3: a SIGKILLed supervisor must not leave the fleet running forever.
+// The OS-process part is NodeShell, which the service replica
+// (svc/node.h) runs on too: store, recovery and group commit, the Lamport
+// clock and recorder, the reactor with its supervisor link, the per-pass
+// tail (cuts, status, orphan watchdog) and the orderly exit.  A node whose
+// supervisor stream stays down past kOrphanAfter exits with code 3: a
+// SIGKILLed supervisor must not leave the fleet running forever.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,6 +47,7 @@
 #include "udc/rt/remote/lamport.h"
 #include "udc/rt/remote/remote_transport.h"
 #include "udc/rt/runtime.h"
+#include "udc/store/group_commit.h"
 #include "udc/store/process_store.h"
 
 namespace udc {
@@ -67,67 +75,145 @@ RuntimeCounters node_status_counters(RuntimeCounters base,
                                      const Reactor& reactor,
                                      const ProcessStore& store);
 
-// Records one event: Lamport tick, durable append, in-memory mirror (the
-// status scanner walks the mirror up to the store's durable floor).  Worker
-// thread only — the reactor thread never records, it only enqueues mail.
-class NodeRecorder {
- public:
-  NodeRecorder(LamportClock& clock, ProcessStore& store,
-               std::vector<Event>& mirror)
-      : clock_(clock), store_(store), mirror_(mirror) {}
+// A supervisor stream down this long, once it has been up, orphans the
+// node (exit 3).  Startup dialing is not orphanhood.
+inline constexpr std::chrono::milliseconds kOrphanAfter{2'000};
 
-  // Returns the tick the event was recorded at; after the call,
-  // mirror_len() is the durable-send gate for this event.
+// The worker's mailbox poll.  A pass that finds no mail ticks the Lamport
+// clock once: heartbeat pacing and detector timeouts count these ticks.
+inline constexpr std::chrono::microseconds kNodePoll{300};
+
+// The flags every node binary takes.
+struct NodeIdentity {
+  ProcessId id = kInvalidProcess;
+  int n = 0;
+  std::uint64_t epoch = 0;   // incarnation; > 0 recovers from disk
+  std::uint64_t run_id = 0;  // handshake guard: one fleet, one run id
+  std::uint16_t supervisor_port = 0;
+  std::uint16_t data_port = 0;  // 0 = ephemeral (the normal case)
+  std::string dir;              // WAL shard (and service log); must exist
+  std::string script_file;      // chaos script lowered at this node ("" = none)
+  std::uint64_t seed = 1;
+};
+
+// How one node binary spells and checks its flags.
+struct NodeFlagSpec {
+  const char* binary;    // prefixes every diagnostic
+  const char* dir_flag;  // "--wal-dir" or "--dir"
+  const char* usage;     // printed after every diagnostic
+  // The binary's own "--key=value" flags: false for a key it does not know.
+  // A bad value throws InvariantViolation (common/parse_num.h).
+  std::function<bool(const std::string& key, const std::string& value)>
+      extra = [](const std::string&, const std::string&) { return false; };
+  // Named by the bad-identity diagnostic, with a check of any identity flag
+  // `extra` reads (udc_rt_node's --t against --n).
+  const char* identity_flags = "--id/--n";
+  std::function<bool()> identity_ok = [] { return true; };
+};
+
+// A node binary's main: parses argv into `flags` (a malformed invocation
+// prints one diagnostic line and the usage and exits 2, before any socket
+// or file is touched), then returns run() under guarded_main, with an
+// unbindable data port (a port in use, not a broken invariant) reported
+// as a usage error, exit 2.
+int node_main(int argc, char** argv, const NodeFlagSpec& spec,
+              NodeIdentity* flags, const std::function<int()>& run);
+
+// The OS-process half of a node.  Construction loads the fault script,
+// opens the store (recovering its durable prefix into mirror() when
+// epoch > 0), attaches the group committer, and builds the reactor; the
+// node then installs its shim and hooks, and start() goes live.  Its loop
+// ends every pass with end_pass() and returns finish().
+class NodeShell {
+ public:
+  struct Hooks {
+    // Reactor thread: every frame except the supervisor's kStop and kPeers,
+    // which the shell handles (the latter by dialing peers below our id).
+    Reactor::FrameFn frame;
+    // Reactor thread: a fleet peer's stream (re)established.
+    std::function<void(ProcessId peer)> peer_up;
+    // Reactor thread: the supervisor said kStop.
+    std::function<void()> stop;
+    // Worker thread: one status frame to the supervisor.
+    std::function<void(bool done)> status;
+  };
+
+  // `wire_salt` seeds the reactor's redial jitter; `accept_clients` admits
+  // service clients' handshakes.  Throws InvariantViolation for a bad
+  // identity.
+  NodeShell(const NodeIdentity& id, std::uint64_t wire_salt,
+            bool accept_clients);
+
+  NodeShell(const NodeShell&) = delete;
+  NodeShell& operator=(const NodeShell&) = delete;
+
+  const FaultScript& script() const { return script_; }
+  ProcessStore& store() { return store_; }
+  const std::vector<Event>& mirror() const { return mirror_; }
+  LamportClock& clock() { return clock_; }
+  GroupCommitter& committer() { return committer_; }
+  Reactor& reactor() { return reactor_; }
+
+  // Records one event: Lamport tick, durable append, in-memory mirror (the
+  // status scanner walks the mirror up to the store's durable floor).
+  // Worker thread only — the reactor thread never records, it only
+  // enqueues mail.  After the call, mirror_len() is the event's
+  // durable-send gate.
   Time record(const Event& e) {
     const Time t = clock_.tick();
     store_.append(t, e);
     mirror_.push_back(e);
     return t;
   }
-
   std::size_t mirror_len() const { return mirror_.size(); }
 
+  // Stops the reactor when it goes out of scope: on an exception the
+  // reactor thread is joined before the hooks' captures are destroyed.
+  struct StopReactor {
+    void operator()(Reactor* r) const { r->stop(); }
+  };
+  using Started = std::unique_ptr<Reactor, StopReactor>;
+
+  // Listens on the data port (throws on a bind failure), dials the
+  // supervisor, starts the reactor.  Keep the result alive, declared after
+  // everything the hooks capture.
+  [[nodiscard]] Started start(Hooks hooks);
+
+  // The tail of every worker pass: cut enforcement, a status every 2 ms
+  // while the supervisor is up, the orphan watchdog.  False once orphaned.
+  bool end_pass(Time now, std::chrono::steady_clock::time_point wall);
+
+  // Orderly exit: stop the committer, flush, send a final done status if
+  // the supervisor is up and we were not orphaned, drain 30 ms, stop the
+  // reactor.  Returns the exit code: 0 stopped, 3 orphaned.
+  int finish();
+
  private:
-  LamportClock& clock_;
-  ProcessStore& store_;
-  std::vector<Event>& mirror_;
+  const NodeIdentity id_;
+  const FaultScript script_;
+  ProcessStore store_;
+  std::vector<Event> mirror_;
+  LamportClock clock_;
+  GroupCommitter committer_;
+  Hooks hooks_;
+  std::vector<bool> refusing_;
+  std::atomic<bool> sup_up_{false};
+  std::atomic<bool> sup_ever_up_{false};
+  std::chrono::steady_clock::time_point next_status_;
+  std::chrono::steady_clock::time_point sup_down_since_;
+  bool orphaned_ = false;
+  Reactor reactor_;  // last: its thread calls into everything above
 };
 
-// The chaos script file the supervisor wrote for this node ("" = none).
-FaultScript load_fault_script(const std::string& path);
-
-// Lowers the script's partition windows that cut BOTH directions of a
-// (self, peer) pair to reactor refuse windows: the stream is torn down and
-// the peer's handshake bounced while the window is open.  One-directional
-// windows stay in the drop shim (a live TCP stream that eats one
-// direction).  `refusing` holds one flag per peer; the reactor hears only
-// the edges.
-void enforce_cuts(const FaultScript& script, ProcessId self, Time now,
-                  Reactor& reactor, std::vector<bool>& refusing);
-
-struct NodeOptions {
-  ProcessId id = kInvalidProcess;
-  int n = 0;
+// The Table-1 node's own flags, on top of its identity.
+struct NodeOptions : NodeIdentity {
   int t = 0;
   std::string protocol = "strongfd";
-  Time resend_interval = 64;
-  HeartbeatOptions heartbeat{/*interval=*/24, /*initial_timeout=*/240,
-                             /*timeout_backoff=*/2.0, /*max_timeout=*/4096};
-  std::uint64_t epoch = 0;   // incarnation; > 0 recovers from the WAL
-  std::uint64_t run_id = 0;  // handshake guard: one fleet, one run id
-  std::uint16_t supervisor_port = 0;
-  std::uint16_t data_port = 0;  // 0 = ephemeral (the normal case)
-  std::string wal_dir;          // must already exist
-  std::string script_file;      // chaos script lowered at this node ("" = none)
   double background_drop = 0.0;
-  std::uint64_t seed = 1;
-  StoreOptions store = mp_store_options();
-  RemoteTransportOptions transport{};
-  std::chrono::milliseconds orphan_after{2'000};
 };
 
 // Runs the node until the supervisor says kStop (returns 0) or the
-// supervisor stream stays down past orphan_after (returns 3).  Throws
+// supervisor stream stays down past kOrphanAfter (returns 3).  Throws
 // InvariantViolation for malformed options or an unbindable data port.
 int run_node(const NodeOptions& opts);
 

@@ -107,7 +107,8 @@ void RemoteTransport::on_wire_data(ProcessId peer, std::uint64_t epoch,
     }
   }
   if (fresh) {
-    counters_.add(counters_.delivered);
+    // Heartbeats (seq 0) are not deliveries, as in RtTransport.
+    if (d.seq != 0) counters_.add(counters_.delivered);
     deliver_(peer, d.msg, d.send_tick);
   }
 }

@@ -94,19 +94,44 @@ FaultScript sanitize_for_live(const FaultScript& script, int n, int t,
 
 // Protocols under live test get the coarser RT retransmission pacing;
 // anything else resolves through the ordinary chaos registry.
-ProtocolFactory live_protocol_factory(const std::string& name, int t,
-                                      Time resend_interval) {
+ProtocolFactory live_protocol_factory(const std::string& name, int t) {
   if (name == "strongfd") {
-    return [resend_interval](ProcessId) {
-      return std::make_unique<UdcStrongFdProcess>(resend_interval);
+    return [](ProcessId) {
+      return std::make_unique<UdcStrongFdProcess>(kLiveResendInterval);
     };
   }
   if (name == "majority") {
-    return [resend_interval](ProcessId) {
-      return std::make_unique<UdcMajorityProcess>(resend_interval);
+    return [](ProcessId) {
+      return std::make_unique<UdcMajorityProcess>(kLiveResendInterval);
     };
   }
   return protocol_factory_by_name(name, t);
+}
+
+void replay_history(Process& proto, Env& env,
+                    const std::vector<Event>& history) {
+  const std::size_t len = history.size();
+  for (std::size_t i = 0; i < len; ++i) {
+    const Event e = history[i];
+    switch (e.kind) {
+      case EventKind::kInit:
+        proto.on_init(e.action, env);
+        break;
+      case EventKind::kRecv:
+        proto.on_receive(e.peer, e.msg, env);
+        break;
+      case EventKind::kSuspect:
+        proto.on_suspect(e.suspects, env);
+        break;
+      case EventKind::kSuspectGen:
+        proto.on_suspect_gen(e.suspects, e.k, env);
+        break;
+      case EventKind::kSend:
+      case EventKind::kDo:
+      case EventKind::kCrash:
+        break;
+    }
+  }
 }
 
 namespace {
@@ -232,7 +257,6 @@ struct WorkerArgs {
   RtTransport* transport = nullptr;
   Board* board = nullptr;
   const ProtocolFactory* factory = nullptr;
-  HeartbeatOptions hb;
   std::vector<Event> wal;  // empty for the first incarnation
   // Durable restarts only: inits the disk forgot (recorded by the previous
   // incarnation, absent from the recovered log) to re-apply during replay,
@@ -253,33 +277,13 @@ void worker_main(WorkerArgs args) {
     // history this process already recorded (its write-ahead log).
     std::set<ActionId> done;
     for (const Event& e : args.wal) {
-      if (e.kind == EventKind::kDo) done.insert(e.action);
+      if (e.kind != EventKind::kDo) continue;
+      done.insert(e.action);
+      args.board->note_do(args.id, e.action);
     }
     env.begin_replay(std::move(done));
     proto->on_start(env);
-    for (const Event& e : args.wal) {
-      switch (e.kind) {
-        case EventKind::kInit:
-          proto->on_init(e.action, env);
-          break;
-        case EventKind::kRecv:
-          proto->on_receive(e.peer, e.msg, env);
-          break;
-        case EventKind::kSuspect:
-          proto->on_suspect(e.suspects, env);
-          break;
-        case EventKind::kSuspectGen:
-          proto->on_suspect_gen(e.suspects, e.k, env);
-          break;
-        case EventKind::kDo:
-          args.board->note_do(args.id, e.action);
-          break;
-        case EventKind::kSend:
-        case EventKind::kCrash:
-          break;  // sends are regenerated by retransmission; kCrash cannot
-                  // appear in a restartable process's log
-      }
-    }
+    replay_history(*proto, env, args.wal);
     // Inits the durable log lost (its loss is a suffix, and kInit may be in
     // it) are re-applied here, still in replay mode: the board proves they
     // were recorded, so recording them again would duplicate the run's one
@@ -301,7 +305,8 @@ void worker_main(WorkerArgs args) {
     }
   }
 
-  HeartbeatDetector detector(args.n, args.id, args.hb, args.rec->now());
+  HeartbeatDetector detector(args.n, args.id, kLiveHeartbeat,
+                             args.rec->now());
   Message hb_msg;
   hb_msg.kind = MsgKind::kHeartbeat;
   Time next_hb = 0;  // announce liveness immediately
@@ -347,7 +352,7 @@ void worker_main(WorkerArgs args) {
       for (ProcessId q = 0; q < args.n; ++q) {
         if (q != args.id) args.transport->send_heartbeat(args.id, q, hb_msg);
       }
-      next_hb = now + args.hb.interval;
+      next_hb = now + kLiveHeartbeat.interval;
     }
     if (auto report = detector.poll(now)) {
       if (args.rec->record(args.id, Event::suspect(*report))) {
@@ -381,7 +386,6 @@ void fold_store_counters(const StoreCounters& s, RuntimeCounters* c) {
 RtVerdict run_live(const RtOptions& opts) {
   UDC_CHECK(opts.n >= 1 && opts.n <= kMaxProcesses, "run_live: bad n");
   UDC_CHECK(opts.t >= 0 && opts.t < opts.n, "run_live: bad t");
-  UDC_CHECK(opts.resend_interval >= 1, "run_live: bad resend interval");
   UDC_CHECK(opts.restart_after >= 1, "run_live: bad restart delay");
   UDC_CHECK(opts.max_events >= 1, "run_live: bad event cap");
   for (const InitDirective& d : opts.workload) {
@@ -428,8 +432,7 @@ RtVerdict run_live(const RtOptions& opts) {
 
   TraceRecorder rec(opts.n, durable ? &sink : nullptr);
   Board board;
-  const ProtocolFactory factory =
-      live_protocol_factory(opts.protocol, opts.t, opts.resend_interval);
+  const ProtocolFactory factory = live_protocol_factory(opts.protocol, opts.t);
 
   // Mailbox registry: the transport's dispatcher resolves recipients here;
   // the supervisor swaps entries on restart, so access is mutex-guarded.
@@ -484,7 +487,6 @@ RtVerdict run_live(const RtOptions& opts) {
     args.transport = &transport;
     args.board = &board;
     args.factory = &factory;
-    args.hb = opts.heartbeat;
     args.wal = std::move(wal);
     args.reinit = std::move(reinit);
     args.announce_recovery = announce;

@@ -85,6 +85,18 @@ inline StoreOptions rt_default_store_options() {
 // Adds one store's durability tallies to the runtime counters.
 void fold_store_counters(const StoreCounters& s, RuntimeCounters* c);
 
+// Heartbeat pacing of every live process (run_live's workers, udc_rt_node,
+// udc_svc_node), in logical ticks.
+inline constexpr HeartbeatOptions kLiveHeartbeat{
+    /*interval=*/24, /*initial_timeout=*/240, /*timeout_backoff=*/2.0,
+    /*max_timeout=*/4096};
+
+// Protocol retransmission pacing of both live runtimes, in logical ticks.
+// Coarser than the simulator's default: every protocol-level resend is a
+// recorded send, and R3 validation on the lifted run is quadratic in
+// per-channel duplicates of one message value.
+inline constexpr Time kLiveResendInterval = 64;
+
 struct RtOptions {
   int n = 4;
   int t = 1;  // failure bound: sanitize_for_live caps scripted crashes at t
@@ -98,14 +110,7 @@ struct RtOptions {
   double background_drop = 0.05;
   std::uint64_t seed = 1;
 
-  HeartbeatOptions heartbeat{/*interval=*/24, /*initial_timeout=*/240,
-                             /*timeout_backoff=*/2.0, /*max_timeout=*/4096};
   RtTransportOptions transport{};
-  // Protocol retransmission pacing, in logical ticks.  Coarser than the
-  // simulator's default: every protocol-level resend is a recorded send,
-  // and R3 validation on the lifted run is quadratic in per-channel
-  // duplicates of one message value.
-  Time resend_interval = 64;
   Time grace = 0;  // spec-check grace for the lifted run
 
   // Restartable crashes: scripted crashes take the worker down for
@@ -158,10 +163,18 @@ FaultScript sanitize_for_live(const FaultScript& script, int n, int t,
                               Time window_cap = 2'000);
 
 // Protocol registry for live runs: "strongfd" and "majority" get the coarser
-// RT retransmission pacing; anything else resolves through the chaos
+// kLiveResendInterval pacing; anything else resolves through the chaos
 // registry.  Shared by run_live and the cross-process node (rt/remote).
-ProtocolFactory live_protocol_factory(const std::string& name, int t,
-                                      Time resend_interval);
+ProtocolFactory live_protocol_factory(const std::string& name, int t);
+
+// Feeds a recovered history into a fresh protocol instance whose Env is in
+// replay mode: kInit to on_init, kRecv to on_receive, kSuspect and
+// kSuspectGen to the suspicion handlers (sends regrow by retransmission,
+// kDo and kCrash carry no input).  Iterates by index over the length at
+// entry and dispatches a copy of each event, so a handler that re-records a
+// lost kDo may append to `history` itself.
+void replay_history(Process& proto, Env& env,
+                    const std::vector<Event>& history);
 
 // Executes the live system and returns the checked verdict.  Throws
 // InvariantViolation only for malformed options; fault-induced misbehavior

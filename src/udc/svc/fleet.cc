@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -59,24 +58,8 @@ struct Arrival {
 // The svc node's own flags; the supervisor adds identity, epoch and seed.
 std::vector<std::string> node_args(const SvcFleetOptions& opts,
                                    const std::string& script_path) {
-  auto arg = [](const std::string& k, const auto& v) {
-    std::ostringstream os;
-    os << k << '=' << v;
-    return os.str();
-  };
-  const SvcNodeOptions& nd = opts.node;
-  std::vector<std::string> a;
-  a.push_back(arg("--dir", opts.run_dir));
-  if (!script_path.empty()) a.push_back(arg("--script", script_path));
-  a.push_back(arg("--hb-interval", nd.heartbeat.interval));
-  a.push_back(arg("--hb-timeout", nd.heartbeat.initial_timeout));
-  a.push_back(arg("--lease-ms", nd.lease_window.count()));
-  a.push_back(arg("--batch-ops", nd.max_batch_ops));
-  a.push_back(arg("--seal-us", nd.seal_interval.count()));
-  a.push_back(arg("--inflight", nd.max_inflight_slots));
-  a.push_back(arg("--admission-cap", nd.admission_cap));
-  a.push_back(arg("--resend-us", nd.resend_interval.count()));
-  a.push_back(arg("--orphan-ms", nd.orphan_after.count()));
+  std::vector<std::string> a{"--dir=" + opts.run_dir};
+  if (!script_path.empty()) a.push_back("--script=" + script_path);
   return a;
 }
 
@@ -332,7 +315,7 @@ SvcFleetVerdict run_svc_fleet(const SvcFleetOptions& opts) {
   }
 
   for (auto& cl : clients) cl->stop();
-  FleetOutcome out = sup.finish(opts.node.store);
+  FleetOutcome out = sup.finish(mp_store_options());
   v.run = std::move(out.run);
 
   // Every batch action any shard initiated, and each replica's apply

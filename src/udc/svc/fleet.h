@@ -75,7 +75,6 @@ struct SvcFleetOptions {
   std::chrono::milliseconds kill_spacing{800};
   int leader_kills = 2;  // kLeaderKill arm only
 
-  SvcNodeOptions node;  // knob template: heartbeat, lease, batching
   std::chrono::milliseconds deadline{20'000};
 };
 

@@ -2,26 +2,19 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
-#include <filesystem>
 #include <map>
-#include <mutex>
-#include <optional>
 #include <set>
-#include <thread>
 #include <utility>
 
-#include "udc/chaos/fault_script.h"
 #include "udc/common/budget.h"
 #include "udc/common/check.h"
 #include "udc/coord/action.h"
 #include "udc/event/event.h"
 #include "udc/net/reactor.h"
 #include "udc/net/wire.h"
-#include "udc/store/group_commit.h"
+#include "udc/rt/mailbox.h"
 #include "udc/svc/lease.h"
 #include "udc/svc/log.h"
 #include "udc/svc/session.h"
@@ -35,82 +28,45 @@ namespace {
 constexpr int kRegisters = 64;
 constexpr std::size_t kSyncChunk = 32;  // batches per kSvcSyncResp frame
 constexpr int kResendBurst = 32;        // uncommitted re-proposes per tick
+constexpr std::size_t kMaxBatchOps = 128;     // seal size cap
+constexpr std::size_t kMaxInflightSlots = 8;  // uncommitted-slot admission cap
+constexpr std::size_t kAdmissionCap = 4096;   // in-flight op budget (ops)
+constexpr std::chrono::microseconds kSealInterval{500};       // seal pacing
+constexpr std::chrono::microseconds kResendInterval{20'000};  // re-propose
+// Lease window (wall clock): must sit well under the detector's effective
+// suspicion latency for the lease intersection argument to have slack.
+constexpr std::chrono::milliseconds kLeaseWindow{60};
 
 struct Register {
   std::int64_t value = 0;
   std::uint64_t version = 0;
 };
 
-// Worker input: one decoded frame with its sender, a replica peer's stream
-// coming up, or the stop order.  The svc node cannot reuse rt's Mailbox
-// (RtMail carries model Messages); this queue carries raw wire frames
-// instead, same single-consumer discipline.
+// Worker input: one raw wire frame with its sender, a replica peer's
+// stream coming up, or the stop order.
 struct SvcMail {
   bool stop = false;
   bool peer_up = false;  // `peer` just established; `frame` is empty
   ProcessId peer = kInvalidProcess;
-  WireFrame frame;
-};
-
-class SvcMailQueue {
- public:
-  void push(SvcMail m) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.push_back(std::move(m));
-    }
-    cv_.notify_one();
-  }
-  std::optional<SvcMail> pop_for(std::chrono::microseconds timeout) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait_for(lock, timeout, [this] { return !queue_.empty(); });
-    if (queue_.empty()) return std::nullopt;
-    SvcMail m = std::move(queue_.front());
-    queue_.pop_front();
-    return m;
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<SvcMail> queue_;
+  WireFrame frame{};
 };
 
 }  // namespace
 
 int run_svc_node(const SvcNodeOptions& opts) {
-  UDC_CHECK(opts.n >= 1 && opts.n <= kMaxProcesses, "svc node: bad n");
-  UDC_CHECK(opts.id >= 0 && opts.id < opts.n, "svc node: bad process id");
-  UDC_CHECK(opts.supervisor_port != 0, "svc node: bad supervisor port");
-  UDC_CHECK(!opts.dir.empty() && std::filesystem::is_directory(opts.dir),
-            "svc node: run dir missing");
-  UDC_CHECK(opts.max_batch_ops >= 1 && opts.max_inflight_slots >= 1,
-            "svc node: bad batching limits");
-
-  const FaultScript script = load_fault_script(opts.script_file);
+  NodeShell shell(opts, 0x73766377ull, /*accept_clients=*/true);  // "svcw"
+  ProcessStore& store = shell.store();
+  GroupCommitter& committer = shell.committer();
+  LamportClock& clock = shell.clock();
+  Reactor& reactor = shell.reactor();
 
   // --- durable state --------------------------------------------------------
-  ProcessStore store(opts.dir, opts.id, opts.store, {});
-  std::vector<Event> mirror;
   std::set<ActionId> my_inits;
   std::vector<ActionId> wal_do_order;  // kDo replay order = apply order
-  Time recovered_tick = 0;
-  if (opts.epoch > 0) {
-    for (const StoreRecord& r : store.recover()) {
-      mirror.push_back(r.e);
-      if (r.t > recovered_tick) recovered_tick = r.t;
-      if (r.e.kind == EventKind::kInit) my_inits.insert(r.e.action);
-      if (r.e.kind == EventKind::kDo) wal_do_order.push_back(r.e.action);
-    }
+  for (const Event& e : shell.mirror()) {
+    if (e.kind == EventKind::kInit) my_inits.insert(e.action);
+    if (e.kind == EventKind::kDo) wal_do_order.push_back(e.action);
   }
-  std::optional<GroupCommitter> committer;
-  if (opts.store.group_commit) {
-    committer.emplace(GroupCommitOptions{opts.store.flusher_threads});
-    committer->attach(&store);
-  }
-
-  LamportClock clock(recovered_tick);
-  NodeRecorder rec(clock, store, mirror);
 
   const std::string slog_path =
       opts.dir + "/svc-" + std::to_string(opts.id) + ".log";
@@ -147,54 +103,7 @@ int run_svc_node(const SvcNodeOptions& opts) {
   RuntimeCounters svcc;
 
   // --- wire plane -----------------------------------------------------------
-  SvcMailQueue mail;
-  ReactorOptions ropts;
-  ropts.self = opts.id;
-  ropts.n = opts.n;
-  ropts.epoch = opts.epoch;
-  ropts.run_id = opts.run_id;
-  ropts.seed = opts.seed ^ 0x73766377ull;  // "svcw"
-  ropts.accept_clients = true;
-  std::atomic<bool> sup_up{false};
-  std::atomic<bool> sup_ever_up{false};
-
-  Reactor reactor(
-      ropts,
-      [&](ProcessId peer, std::uint64_t /*epoch*/, const WireFrame& f) {
-        if (peer == kSupervisorPeer) {
-          if (f.type == FrameType::kStop) {
-            SvcMail m;
-            m.stop = true;
-            mail.push(std::move(m));
-          } else if (f.type == FrameType::kPeers) {
-            if (auto p = decode_peers(f.payload.data(), f.payload.size())) {
-              SvcMail m;
-              m.peer = peer;
-              m.frame = f;
-              mail.push(std::move(m));
-              (void)p;
-            }
-          }
-          return;
-        }
-        SvcMail m;
-        m.peer = peer;
-        m.frame = f;
-        mail.push(std::move(m));
-      },
-      [&](ProcessId peer, std::uint64_t /*epoch*/, bool up,
-          std::uint16_t /*data_port*/) {
-        if (peer == kSupervisorPeer) {
-          sup_up.store(up, std::memory_order_relaxed);
-          if (up) sup_ever_up.store(true, std::memory_order_relaxed);
-        } else if (up && peer >= 0 && peer < opts.n) {
-          SvcMail m;
-          m.peer_up = true;
-          m.peer = peer;
-          mail.push(std::move(m));
-        }
-      });
-
+  BasicMailbox<SvcMail> mail;
   auto reply_client = [&](ProcessId to, const SvcReply& r) {
     reactor.send(to, FrameType::kSvcReply, encode_svc_reply(r));
   };
@@ -265,8 +174,8 @@ int run_svc_node(const SvcNodeOptions& opts) {
     std::size_t gate = 0;
     if (action_owner(a) == opts.id && my_inits.count(a) == 0) {
       my_inits.insert(a);
-      rec.record(Event::init(a));
-      gate = rec.mirror_len();
+      shell.record(Event::init(a));
+      gate = shell.mirror_len();
     }
     if (!log.accept(b)) {
       orphans.emplace(a, std::make_pair(b, gate));
@@ -286,14 +195,10 @@ int run_svc_node(const SvcNodeOptions& opts) {
     }
   }
 
-  reactor.listen(opts.data_port);
-  reactor.set_endpoint(kSupervisorPeer, opts.supervisor_port);
-  reactor.start();
-
   // --- failure detection, lease, admission budget ---------------------------
-  HeartbeatDetector detector(opts.n, opts.id, opts.heartbeat, clock.now());
-  LeaderLease lease(opts.n, opts.id, opts.lease_window);
-  const Budget admission = Budget().with_max_points(opts.admission_cap);
+  HeartbeatDetector detector(opts.n, opts.id, kLiveHeartbeat, clock.now());
+  LeaderLease lease(opts.n, opts.id, kLeaseWindow);
+  const Budget admission = Budget().with_max_points(kAdmissionCap);
 
   // --- helpers --------------------------------------------------------------
   auto gate_of = [&](std::uint64_t slot) -> std::size_t {
@@ -344,7 +249,7 @@ int run_svc_node(const SvcNodeOptions& opts) {
   auto apply_slot = [&](std::uint64_t slot) {
     const SvcLogEntry* e = log.entry(slot);
     if (!e || e->applied) return;
-    rec.record(Event::do_action(e->batch.action));
+    shell.record(Event::do_action(e->batch.action));
     apply_ops(SvcBatch(e->batch));  // copy: replies may resize the map
     if (log.mark_applied(slot)) ++svcc.svc_ooo_commits;
   };
@@ -365,12 +270,12 @@ int run_svc_node(const SvcNodeOptions& opts) {
     b.term = term;
     b.action = make_action(opts.id, admission_seq++);
     b.ops = std::move(ops);
-    rec.record(Event::init(b.action));
+    shell.record(Event::init(b.action));
     my_inits.insert(b.action);
-    seal_gate[slot] = rec.mirror_len();
+    seal_gate[slot] = shell.mirror_len();
     // The WAL barrier for the kInit runs on the flusher thread while this
     // thread fdatasyncs the service log below; pump_unsent joins it.
-    if (committer) committer->kick();
+    committer.kick();
     slog.append(b);
     UDC_CHECK(log.accept(b), "svc node: own seal refused");
     log.ack(slot, opts.id);
@@ -625,8 +530,8 @@ int run_svc_node(const SvcNodeOptions& opts) {
         static_cast<std::size_t>(log.size()) -
         static_cast<std::size_t>(log.applied_count());
     if (admission.points_exhausted(pending_seq.size()) ||
-        (inflight_slots >= static_cast<std::size_t>(opts.max_inflight_slots) &&
-         open_ops.size() >= static_cast<std::size_t>(opts.max_batch_ops))) {
+        (inflight_slots >= kMaxInflightSlots &&
+         open_ops.size() >= kMaxBatchOps)) {
       rep.status = SvcStatus::kRetryLater;
       rep.backoff_ms = static_cast<std::uint32_t>(
           std::min<std::size_t>(20, 1 + pending_seq.size() / 256));
@@ -830,7 +735,7 @@ int run_svc_node(const SvcNodeOptions& opts) {
     s.sessions = sessions.size();
     prune_orphans();
     s.orphans = orphans.size();
-    s.durable_events = std::min(store.durable_floor(), mirror.size());
+    s.durable_events = std::min(store.durable_floor(), shell.mirror_len());
     s.syncing = syncing;
     s.done = done;
     const RuntimeCounters rc =
@@ -844,20 +749,26 @@ int run_svc_node(const SvcNodeOptions& opts) {
 
   // --- main loop ------------------------------------------------------------
   Time next_hb = 0;
-  std::vector<bool> refusing(static_cast<std::size_t>(opts.n), false);
-  constexpr auto kStatusEvery = std::chrono::milliseconds(2);
   constexpr auto kSyncRetryAfter = std::chrono::milliseconds(250);
-  auto next_status = std::chrono::steady_clock::now();
   auto next_prune = std::chrono::steady_clock::now();
   auto next_seal = std::chrono::steady_clock::now();
   auto next_resend = std::chrono::steady_clock::now();
   auto next_catchup = std::chrono::steady_clock::now();
-  auto sup_down_since = std::chrono::steady_clock::now();
-  bool stopping = false;
-  int exit_code = 0;
 
+  const NodeShell::Started started = shell.start({
+      .frame =
+          [&](ProcessId peer, std::uint64_t /*epoch*/, const WireFrame& f) {
+            if (peer != kSupervisorPeer) mail.push({.peer = peer, .frame = f});
+          },
+      .peer_up =
+          [&](ProcessId peer) { mail.push({.peer_up = true, .peer = peer}); },
+      .stop = [&] { mail.push({.stop = true}); },
+      .status = send_status,
+  });
+
+  bool stopping = false;
   while (!stopping) {
-    auto m = mail.pop_for(std::chrono::microseconds(300));
+    auto m = mail.pop_for(kNodePoll);
     const auto wall = std::chrono::steady_clock::now();
     if (m) {
       if (m->stop) {
@@ -868,18 +779,6 @@ int run_svc_node(const SvcNodeOptions& opts) {
         // instead of waiting out kSyncRetryAfter.
         if (syncing && !sync_acks.contains(m->peer)) {
           reactor.send(m->peer, FrameType::kSvcSyncReq, sync_req());
-        }
-      } else if (m->peer == kSupervisorPeer) {
-        if (m->frame.type == FrameType::kPeers) {
-          if (auto p = decode_peers(m->frame.payload.data(),
-                                    m->frame.payload.size())) {
-            for (const auto& [pid, port] : p->ports) {
-              // One dialer per pair: dial only peers below our id.
-              if (pid >= 0 && pid < opts.id && port != 0) {
-                reactor.set_endpoint(pid, port);
-              }
-            }
-          }
         }
       } else if (m->peer >= kClientPeerBase) {
         if (m->frame.type == FrameType::kSvcRequest) {
@@ -922,7 +821,7 @@ int run_svc_node(const SvcNodeOptions& opts) {
       h.floor = log.applied_floor();
       broadcast(FrameType::kSvcHb, encode_svc_hb(h));
       ++svcc.heartbeats;
-      next_hb = now + opts.heartbeat.interval;
+      next_hb = now + kLiveHeartbeat.interval;
     }
     (void)detector.poll(now);
 
@@ -952,13 +851,12 @@ int run_svc_node(const SvcNodeOptions& opts) {
           static_cast<std::size_t>(log.size()) -
           static_cast<std::size_t>(log.applied_count());
       if (!open_ops.empty() &&
-          (open_ops.size() >= static_cast<std::size_t>(opts.max_batch_ops) ||
-           wall >= next_seal) &&
-          inflight_slots < static_cast<std::size_t>(opts.max_inflight_slots)) {
+          (open_ops.size() >= kMaxBatchOps || wall >= next_seal) &&
+          inflight_slots < kMaxInflightSlots) {
         std::vector<SvcOp> ops;
         ops.swap(open_ops);
         seal_at(next_slot++, std::move(ops));
-        next_seal = wall + opts.seal_interval;
+        next_seal = wall + kSealInterval;
       }
       pump_unsent();
       drain_ready();
@@ -979,7 +877,7 @@ int run_svc_node(const SvcNodeOptions& opts) {
             ++burst;
           }
         }
-        next_resend = wall + opts.resend_interval;
+        next_resend = wall + kResendInterval;
       }
     } else if (leader != kInvalidProcess && leader != opts.id &&
                wall >= next_resend) {
@@ -1019,17 +917,12 @@ int run_svc_node(const SvcNodeOptions& opts) {
           wall >= next_catchup) {
         reactor.send(leader, FrameType::kSvcSyncReq, sync_req());
         ++svcc.svc_sync_rounds;
-        next_catchup = wall + 5 * opts.resend_interval;
+        next_catchup = wall + 5 * kResendInterval;
       }
-      next_resend = wall + opts.resend_interval;
+      next_resend = wall + kResendInterval;
     }
 
-    enforce_cuts(script, opts.id, now, reactor, refusing);
-
-    if (wall >= next_status) {
-      if (sup_up.load(std::memory_order_relaxed)) send_status(false);
-      next_status = wall + kStatusEvery;
-    }
+    if (!shell.end_pass(now, wall)) stopping = true;
 
     if (wall >= next_prune) {
       // Both maps would otherwise grow for the whole run.  A gate at or
@@ -1048,24 +941,8 @@ int run_svc_node(const SvcNodeOptions& opts) {
       }
       next_prune = wall + std::chrono::milliseconds(100);
     }
-
-    if (sup_up.load(std::memory_order_relaxed) ||
-        !sup_ever_up.load(std::memory_order_relaxed)) {
-      sup_down_since = wall;
-    } else if (wall - sup_down_since > opts.orphan_after) {
-      stopping = true;
-      exit_code = 3;
-    }
   }
-
-  if (committer) committer->stop();
-  store.flush();
-  if (exit_code == 0 && sup_up.load(std::memory_order_relaxed)) {
-    send_status(true);
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  }
-  reactor.stop();
-  return exit_code;
+  return shell.finish();
 }
 
 }  // namespace udc

@@ -22,46 +22,23 @@
 // any kInit its WAL lost for a batch its service log still holds, before
 // offering that batch for adoption.
 //
-// Exit codes match run_node: 0 on supervisor-ordered stop, 3 if orphaned.
+// The replica is a protocol on rt/remote's NodeShell, which owns the OS
+// process: store, recovery and group commit, clock and recorder, the
+// supervisor link, the per-pass cuts/status/orphan tail and the orderly
+// exit.  Exit codes are the shell's: 0 on supervisor-ordered stop, 3 if
+// orphaned.  Its knobs are constants: heartbeats kLiveHeartbeat, a 60 ms
+// lease, batches of at most 128 ops sealed every 500 us, 8 uncommitted
+// slots and 4096 pending ops before kRetryLater, re-proposes and offers
+// every 20 ms, and mp_store_options() for the WAL.
 #pragma once
 
-#include <chrono>
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#include "udc/common/types.h"
-#include "udc/coord/metrics.h"
-#include "udc/fd/heartbeat.h"
 #include "udc/rt/remote/node.h"
-#include "udc/store/process_store.h"
 
 namespace udc {
 
-struct SvcNodeOptions {
-  ProcessId id = kInvalidProcess;
-  int n = 0;
-  std::uint64_t epoch = 0;   // incarnation; > 0 recovers WAL + service log
-  std::uint64_t run_id = 0;
-  std::uint16_t supervisor_port = 0;
-  std::uint16_t data_port = 0;  // 0 = ephemeral
-  std::string dir;              // run dir: WAL shard + svc-<id>.log
-  std::string script_file;      // partition windows -> refuse windows
-  std::uint64_t seed = 1;
-  StoreOptions store = mp_store_options();
-  // FD pacing in logical ticks, like the rt node.
-  HeartbeatOptions heartbeat{/*interval=*/24, /*initial_timeout=*/240,
-                             /*timeout_backoff=*/2.0, /*max_timeout=*/4096};
-  // Lease window (wall clock): must sit well under the detector's effective
-  // suspicion latency for the lease intersection argument to have slack.
-  std::chrono::milliseconds lease_window{60};
-  int max_batch_ops = 128;                     // seal size cap
-  std::chrono::microseconds seal_interval{500};   // seal pacing (wall)
-  int max_inflight_slots = 8;                  // uncommitted-slot admission cap
-  std::size_t admission_cap = 4096;            // in-flight op budget (ops)
-  std::chrono::microseconds resend_interval{20'000};  // re-propose pacing
-  std::chrono::milliseconds orphan_after{2'000};
-};
+// A replica takes only the identity flags; `dir` holds the WAL shard and
+// svc-<id>.log.
+using SvcNodeOptions = NodeIdentity;
 
 int run_svc_node(const SvcNodeOptions& opts);
 

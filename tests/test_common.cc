@@ -4,8 +4,10 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "udc/common/check.h"
+#include "udc/common/parse_num.h"
 #include "udc/common/rng.h"
 #include "udc/event/message.h"
 
@@ -86,6 +88,27 @@ TEST(Check, ThrowsWithContext) {
     EXPECT_NE(what.find("test_common.cc"), std::string::npos);
   }
   EXPECT_NO_THROW(UDC_CHECK(true, "never seen"));
+}
+
+// The node binaries print these messages as their one-line diagnostics.
+TEST(ParseNum, RejectsMalformedTrailingJunkAndNegativeUnsigned) {
+  EXPECT_EQ(parse_int("42", "--n"), 42);
+  EXPECT_EQ(parse_u64("7", "--seed"), 7u);
+  auto message = [](auto parse) {
+    try {
+      parse();
+    } catch (const InvariantViolation& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message([] { parse_int("abc", "--id"); }), "malformed --id: 'abc'");
+  EXPECT_EQ(message([] { parse_int("1x", "--id"); }),
+            "trailing junk in --id: '1x'");
+  EXPECT_EQ(message([] { parse_u64("-1", "--epoch"); }),
+            "malformed --epoch: '-1'");
+  EXPECT_EQ(message([] { parse_u64(" -1", "--epoch"); }),
+            "malformed --epoch: ' -1'");
 }
 
 TEST(Message, EqualityIsFieldWise) {

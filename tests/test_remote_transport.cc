@@ -145,6 +145,7 @@ TEST(RemoteTransport, SeqZeroIsBelowTheModelNoDedupNoAck) {
   b.transport.on_wire_data(1, 0, data_from(1, 0, /*seq=*/0));
   EXPECT_EQ(b.delivered_count(), 2u);  // every copy delivers
   EXPECT_EQ(b.counters.dedup_suppressed.load(), 0u);
+  EXPECT_EQ(b.counters.delivered.load(), 0u);
 }
 
 TEST(RemoteTransport, MisroutedDataIsDropped) {

@@ -9,129 +9,52 @@
 //   udc_rt_node --id=0 --n=3 --t=1 --supervisor-port=7001 --wal-dir=/tmp/r0
 //
 // Exit codes: 0 clean stop (supervisor said kStop); 1 internal invariant
-// breach; 2 malformed invocation (bad id, missing WAL dir, unusable port);
-// 3 orphaned (the supervisor stream stayed down past the watchdog).
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
+// breach; 2 malformed invocation (bad id, bad number, missing WAL dir,
+// unusable port); 3 orphaned (the supervisor stream stayed down past the
+// watchdog).
 #include <string>
 
 #include "udc/common/check.h"
-#include "udc/common/guarded_main.h"
+#include "udc/common/parse_num.h"
 #include "udc/rt/remote/node.h"
 
-namespace {
-
-using namespace udc;
-
-[[noreturn]] void usage() {
-  std::fprintf(
-      stderr,
-      "usage: udc_rt_node --id=<pid> --n=<int> --supervisor-port=<port> "
-      "--wal-dir=<dir> [flags]\n"
-      "  --t=<int>               failure bound (default 1)\n"
-      "  --protocol=<name>       strongfd | majority (default strongfd)\n"
-      "  --resend-interval=<t>   protocol resend pacing, ticks\n"
-      "  --epoch=<int>           incarnation; > 0 recovers from the WAL\n"
-      "  --run-id=<int>          fleet run id (handshake guard)\n"
-      "  --data-port=<port>      data listen port (default ephemeral)\n"
-      "  --script=<file>         chaos script lowered at this node\n"
-      "  --background-drop=<f>   i.i.d. loss on outbound data frames\n"
-      "  --seed=<int>            chaos/backoff jitter stream\n"
-      "  --hb-interval=<t> --hb-timeout=<t>  heartbeat pacing, ticks\n");
-  std::exit(2);
-}
-
-NodeOptions parse(int argc, char** argv) {
-  NodeOptions o;
-  bool have_id = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto eat = [&arg](const char* prefix, std::string* out) {
-      std::size_t len = std::strlen(prefix);
-      if (arg.rfind(prefix, 0) == 0) {
-        *out = arg.substr(len);
-        return true;
-      }
-      return false;
-    };
-    std::string v;
-    if (eat("--id=", &v)) {
-      o.id = static_cast<ProcessId>(std::stoi(v));
-      have_id = true;
-    } else if (eat("--n=", &v)) {
-      o.n = std::stoi(v);
-    } else if (eat("--t=", &v)) {
-      o.t = std::stoi(v);
-    } else if (eat("--protocol=", &v)) {
-      o.protocol = v;
-    } else if (eat("--resend-interval=", &v)) {
-      o.resend_interval = std::stoll(v);
-    } else if (eat("--epoch=", &v)) {
-      o.epoch = std::stoull(v);
-    } else if (eat("--run-id=", &v)) {
-      o.run_id = std::stoull(v);
-    } else if (eat("--supervisor-port=", &v)) {
-      o.supervisor_port = static_cast<std::uint16_t>(std::stoul(v));
-    } else if (eat("--data-port=", &v)) {
-      o.data_port = static_cast<std::uint16_t>(std::stoul(v));
-    } else if (eat("--wal-dir=", &v)) {
-      o.wal_dir = v;
-    } else if (eat("--script=", &v)) {
-      o.script_file = v;
-    } else if (eat("--background-drop=", &v)) {
-      o.background_drop = std::stod(v);
-    } else if (eat("--seed=", &v)) {
-      o.seed = std::stoull(v);
-    } else if (eat("--hb-interval=", &v)) {
-      o.heartbeat.interval = std::stoll(v);
-    } else if (eat("--hb-timeout=", &v)) {
-      o.heartbeat.initial_timeout = std::stoll(v);
-    } else if (arg == "--help") {
-      usage();
-    } else {
-      std::fprintf(stderr, "udc_rt_node: unknown flag: %s\n", arg.c_str());
-      usage();
-    }
-  }
-  // Malformed invocations are a USER error, not an invariant breach: one
-  // line, exit 2, before any socket or file is touched.
-  if (!have_id || o.n < 1 || o.n > kMaxProcesses || o.id < 0 ||
-      o.id >= o.n || o.t < 0 || o.t >= o.n) {
-    std::fprintf(stderr, "udc_rt_node: bad or missing --id/--n/--t\n");
-    usage();
-  }
-  if (o.supervisor_port == 0) {
-    std::fprintf(stderr, "udc_rt_node: --supervisor-port required\n");
-    usage();
-  }
-  if (o.wal_dir.empty() || !std::filesystem::is_directory(o.wal_dir)) {
-    std::fprintf(stderr, "udc_rt_node: --wal-dir missing or not a directory\n");
-    usage();
-  }
-  if (!o.script_file.empty() && !std::filesystem::exists(o.script_file)) {
-    std::fprintf(stderr, "udc_rt_node: --script file does not exist\n");
-    usage();
-  }
-  return o;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  return udc::guarded_main("udc_rt_node", [&] {
-    NodeOptions o = parse(argc, argv);
-    try {
-      return run_node(o);
-    } catch (const InvariantViolation& e) {
-      // An unbindable data port is an environment problem (port in use),
-      // not a broken invariant: report it like the other usage errors.
-      if (std::strstr(e.what(), "bind") != nullptr) {
-        std::fprintf(stderr, "udc_rt_node: cannot bind data port: %s\n",
-                     e.what());
-        return 2;
-      }
-      throw;
-    }
-  });
+  using namespace udc;
+  NodeOptions o;
+  return node_main(
+      argc, argv,
+      {.binary = "udc_rt_node",
+       .dir_flag = "--wal-dir",
+       .usage =
+           "usage: udc_rt_node --id=<pid> --n=<int> --supervisor-port=<port> "
+           "--wal-dir=<dir> [flags]\n"
+           "  --t=<int>               failure bound (default 0)\n"
+           "  --protocol=<name>       strongfd | majority (default strongfd)\n"
+           "  --epoch=<int>           incarnation; > 0 recovers from the WAL\n"
+           "  --run-id=<int>          fleet run id (handshake guard)\n"
+           "  --data-port=<port>      data listen port (default ephemeral)\n"
+           "  --script=<file>         chaos script lowered at this node\n"
+           "  --background-drop=<f>   i.i.d. loss on outbound data frames, "
+           "in [0, 1)\n"
+           "  --seed=<int>            chaos/backoff jitter stream\n",
+       .extra =
+           [&o](const std::string& key, const std::string& v) {
+             if (key == "--t") {
+               o.t = parse_int(v, "--t");
+             } else if (key == "--protocol") {
+               o.protocol = v;
+             } else if (key == "--background-drop") {
+               o.background_drop = parse_f64(v, "--background-drop");
+               if (!(o.background_drop >= 0 && o.background_drop < 1)) {
+                 throw InvariantViolation(
+                     "--background-drop out of range [0, 1): '" + v + "'");
+               }
+             } else {
+               return false;
+             }
+             return true;
+           },
+       .identity_flags = "--id/--n/--t",
+       .identity_ok = [&o] { return o.t >= 0 && o.t < o.n; }},
+      &o, [&o] { return run_node(o); });
 }

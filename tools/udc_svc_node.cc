@@ -12,138 +12,23 @@
 // Exit codes: 0 clean stop (supervisor said kStop); 1 internal invariant
 // breach; 2 malformed invocation; 3 orphaned (supervisor stream stayed down
 // past the watchdog).
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <string>
-
-#include "udc/common/check.h"
-#include "udc/common/guarded_main.h"
 #include "udc/svc/node.h"
 
-namespace {
-
-using namespace udc;
-
-[[noreturn]] void usage() {
-  std::fprintf(
-      stderr,
-      "usage: udc_svc_node --id=<pid> --n=<int> --supervisor-port=<port> "
-      "--dir=<dir> [flags]\n"
-      "  --epoch=<int>           incarnation; > 0 recovers WAL + service log\n"
-      "  --run-id=<int>          fleet run id (handshake guard)\n"
-      "  --data-port=<port>      data listen port (default ephemeral)\n"
-      "  --script=<file>         chaos script lowered at this node\n"
-      "  --seed=<int>            jitter stream\n"
-      "  --hb-interval=<t> --hb-timeout=<t>  heartbeat pacing, ticks\n"
-      "  --lease-ms=<int>        leader lease window, wall ms\n"
-      "  --batch-ops=<int>       max client ops per sealed batch\n"
-      "  --seal-us=<int>         seal pacing, wall microseconds\n"
-      "  --inflight=<int>        max uncommitted slots before backpressure\n"
-      "  --admission-cap=<int>   pending-op budget before kRetryLater\n"
-      "  --resend-us=<int>       re-propose / offer pacing, microseconds\n"
-      "  --orphan-ms=<int>       exit 3 after this long without a supervisor\n");
-  std::exit(2);
-}
-
-SvcNodeOptions parse(int argc, char** argv) {
-  SvcNodeOptions o;
-  bool have_id = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto eat = [&arg](const char* prefix, std::string* out) {
-      std::size_t len = std::strlen(prefix);
-      if (arg.rfind(prefix, 0) == 0) {
-        *out = arg.substr(len);
-        return true;
-      }
-      return false;
-    };
-    std::string v;
-    if (eat("--id=", &v)) {
-      o.id = static_cast<ProcessId>(std::stoi(v));
-      have_id = true;
-    } else if (eat("--n=", &v)) {
-      o.n = std::stoi(v);
-    } else if (eat("--epoch=", &v)) {
-      o.epoch = std::stoull(v);
-    } else if (eat("--run-id=", &v)) {
-      o.run_id = std::stoull(v);
-    } else if (eat("--supervisor-port=", &v)) {
-      o.supervisor_port = static_cast<std::uint16_t>(std::stoul(v));
-    } else if (eat("--data-port=", &v)) {
-      o.data_port = static_cast<std::uint16_t>(std::stoul(v));
-    } else if (eat("--dir=", &v)) {
-      o.dir = v;
-    } else if (eat("--script=", &v)) {
-      o.script_file = v;
-    } else if (eat("--seed=", &v)) {
-      o.seed = std::stoull(v);
-    } else if (eat("--hb-interval=", &v)) {
-      o.heartbeat.interval = std::stoll(v);
-    } else if (eat("--hb-timeout=", &v)) {
-      o.heartbeat.initial_timeout = std::stoll(v);
-    } else if (eat("--lease-ms=", &v)) {
-      o.lease_window = std::chrono::milliseconds(std::stoll(v));
-    } else if (eat("--batch-ops=", &v)) {
-      o.max_batch_ops = std::stoi(v);
-    } else if (eat("--seal-us=", &v)) {
-      o.seal_interval = std::chrono::microseconds(std::stoll(v));
-    } else if (eat("--inflight=", &v)) {
-      o.max_inflight_slots = std::stoi(v);
-    } else if (eat("--admission-cap=", &v)) {
-      o.admission_cap = static_cast<std::size_t>(std::stoull(v));
-    } else if (eat("--resend-us=", &v)) {
-      o.resend_interval = std::chrono::microseconds(std::stoll(v));
-    } else if (eat("--orphan-ms=", &v)) {
-      o.orphan_after = std::chrono::milliseconds(std::stoll(v));
-    } else if (arg == "--help") {
-      usage();
-    } else {
-      std::fprintf(stderr, "udc_svc_node: unknown flag: %s\n", arg.c_str());
-      usage();
-    }
-  }
-  // Malformed invocations are a USER error, not an invariant breach: one
-  // line, exit 2, before any socket or file is touched.
-  if (!have_id || o.n < 1 || o.n > kMaxProcesses || o.id < 0 ||
-      o.id >= o.n) {
-    std::fprintf(stderr, "udc_svc_node: bad or missing --id/--n\n");
-    usage();
-  }
-  if (o.supervisor_port == 0) {
-    std::fprintf(stderr, "udc_svc_node: --supervisor-port required\n");
-    usage();
-  }
-  if (o.dir.empty() || !std::filesystem::is_directory(o.dir)) {
-    std::fprintf(stderr, "udc_svc_node: --dir missing or not a directory\n");
-    usage();
-  }
-  if (!o.script_file.empty() && !std::filesystem::exists(o.script_file)) {
-    std::fprintf(stderr, "udc_svc_node: --script file does not exist\n");
-    usage();
-  }
-  if (o.max_batch_ops < 1 || o.max_inflight_slots < 1) {
-    std::fprintf(stderr, "udc_svc_node: bad batching limits\n");
-    usage();
-  }
-  return o;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  return udc::guarded_main("udc_svc_node", [&] {
-    SvcNodeOptions o = parse(argc, argv);
-    try {
-      return run_svc_node(o);
-    } catch (const InvariantViolation& e) {
-      if (std::strstr(e.what(), "bind") != nullptr) {
-        std::fprintf(stderr, "udc_svc_node: cannot bind data port: %s\n",
-                     e.what());
-        return 2;
-      }
-      throw;
-    }
-  });
+  using namespace udc;
+  SvcNodeOptions o;
+  return node_main(
+      argc, argv,
+      {.binary = "udc_svc_node",
+       .dir_flag = "--dir",
+       .usage =
+           "usage: udc_svc_node --id=<pid> --n=<int> --supervisor-port=<port> "
+           "--dir=<dir> [flags]\n"
+           "  --epoch=<int>           incarnation; > 0 recovers WAL + service "
+           "log\n"
+           "  --run-id=<int>          fleet run id (handshake guard)\n"
+           "  --data-port=<port>      data listen port (default ephemeral)\n"
+           "  --script=<file>         chaos script lowered at this node\n"
+           "  --seed=<int>            jitter stream\n"},
+      &o, [&o] { return run_svc_node(o); });
 }
