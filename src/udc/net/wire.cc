@@ -2,107 +2,12 @@
 
 #include <cstring>
 
+#include "udc/common/bytes.h"
 #include "udc/common/check.h"
+#include "udc/store/codec.h"
 #include "udc/store/crc32.h"
 
 namespace udc {
-
-namespace {
-
-// Varint/zigzag helpers, same encoding discipline as store/codec: every
-// read fails cleanly at the buffer's end, so no strict prefix of a valid
-// encoding ever decodes.
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-std::uint64_t zigzag(std::int64_t v) {
-  return (static_cast<std::uint64_t>(v) << 1) ^
-         static_cast<std::uint64_t>(v >> 63);
-}
-std::int64_t unzigzag(std::uint64_t v) {
-  return static_cast<std::int64_t>(v >> 1) ^
-         -static_cast<std::int64_t>(v & 1);
-}
-
-void put_zigzag(std::vector<std::uint8_t>& out, std::int64_t v) {
-  put_varint(out, zigzag(v));
-}
-
-struct Cursor {
-  const std::uint8_t* d;
-  std::size_t len;
-  std::size_t pos = 0;
-  bool fail = false;
-
-  std::uint64_t varint() {
-    std::uint64_t v = 0;
-    int shift = 0;
-    while (pos < len && shift < 64) {
-      std::uint8_t b = d[pos++];
-      v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-      if ((b & 0x80) == 0) return v;
-      shift += 7;
-    }
-    fail = true;  // ran off the buffer or overlong encoding
-    return 0;
-  }
-  std::int64_t zig() { return unzigzag(varint()); }
-  std::int32_t zig32() {
-    std::int64_t v = zig();
-    if (v < INT32_MIN || v > INT32_MAX) fail = true;
-    return static_cast<std::int32_t>(v);
-  }
-  std::uint8_t byte() {
-    if (pos >= len) {
-      fail = true;
-      return 0;
-    }
-    return d[pos++];
-  }
-  bool done() const { return !fail && pos == len; }
-};
-
-void put_message(std::vector<std::uint8_t>& out, const Message& m) {
-  out.push_back(static_cast<std::uint8_t>(m.kind));
-  put_zigzag(out, m.action);
-  put_varint(out, m.procs.bits());
-  put_zigzag(out, m.a);
-  put_zigzag(out, m.b);
-}
-
-std::optional<Message> get_message(Cursor& c) {
-  Message m;
-  std::uint8_t kind = c.byte();
-  if (kind > static_cast<std::uint8_t>(MsgKind::kRejoin)) c.fail = true;
-  m.kind = static_cast<MsgKind>(kind);
-  m.action = c.zig();
-  m.procs = ProcSet(c.varint());
-  m.a = c.zig();
-  m.b = c.zig();
-  if (c.fail) return std::nullopt;
-  return m;
-}
-
-std::uint32_t le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-void store_le32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-}  // namespace
 
 std::vector<std::uint8_t> encode_frame(FrameType type,
                                        const std::uint8_t* payload,
@@ -113,13 +18,13 @@ std::vector<std::uint8_t> encode_frame(FrameType type,
   out[1] = kWireMagic1;
   out[2] = kWireVersion;
   out[3] = static_cast<std::uint8_t>(type);
-  store_le32(out.data() + 4, static_cast<std::uint32_t>(len));
+  store_u32le(out.data() + 4, static_cast<std::uint32_t>(len));
   if (len > 0) std::memcpy(out.data() + kWireHeaderBytes, payload, len);
   // CRC over version, type, length AND payload: a flipped length or type
   // can never pass, and the payload needs no second checksum.
   std::uint32_t crc = crc32c(out.data() + 2, 6);
   crc = crc32c(payload, len, crc);
-  store_le32(out.data() + 8, crc);
+  store_u32le(out.data() + 8, crc);
   return out;
 }
 
@@ -154,7 +59,8 @@ std::optional<WireFrame> FrameDecoder::next() {
     // 4GB read-ahead.
     const bool header_ok =
         h[0] == kWireMagic0 && h[1] == kWireMagic1 && h[2] == kWireVersion &&
-        h[3] >= 1 && h[3] <= kMaxFrameType && le32(h + 4) <= kMaxWirePayload;
+        h[3] >= 1 && h[3] <= kMaxFrameType &&
+        load_u32le(h + 4) <= kMaxWirePayload;
     if (!header_ok) {
       // Explicit resynchronization: skip to the next candidate magic pair.
       ++counters_.resyncs;
@@ -178,12 +84,12 @@ std::optional<WireFrame> FrameDecoder::next() {
       continue;
     }
 
-    const std::uint32_t len = le32(h + 4);
+    const std::uint32_t len = load_u32le(h + 4);
     if (avail < kWireHeaderBytes + len) return std::nullopt;  // need bytes
 
     std::uint32_t crc = crc32c(h + 2, 6);
     crc = crc32c(h + kWireHeaderBytes, len, crc);
-    if (crc != le32(h + 8)) {
+    if (crc != load_u32le(h + 8)) {
       // A corrupt frame body.  Resync from the byte after the magic pair —
       // the frame boundary itself is untrusted.
       ++counters_.crc_drops;
@@ -217,7 +123,7 @@ std::vector<std::uint8_t> encode_hello(const WireHello& h) {
 
 std::optional<WireHello> decode_hello(const std::uint8_t* d,
                                       std::size_t len) {
-  Cursor c{d, len};
+  ByteCursor c{d, len};
   WireHello h;
   h.id = c.zig32();
   h.n = c.zig32();
@@ -237,23 +143,22 @@ std::vector<std::uint8_t> encode_data(const WireData& d) {
   put_varint(out, d.seq);
   put_zigzag(out, d.send_tick);
   put_zigzag(out, d.clock);
-  put_message(out, d.msg);
+  std::uint8_t msg[kMaxMessageBytes];
+  out.insert(out.end(), msg, put_message(msg, d.msg));
   put_varint(out, d.acks.size());
   for (std::uint64_t a : d.acks) put_varint(out, a);
   return out;
 }
 
 std::optional<WireData> decode_data(const std::uint8_t* d, std::size_t len) {
-  Cursor c{d, len};
+  ByteCursor c{d, len};
   WireData w;
   w.from = c.zig32();
   w.to = c.zig32();
   w.seq = c.varint();
   w.send_tick = c.zig();
   w.clock = c.zig();
-  auto m = get_message(c);
-  if (!m) return std::nullopt;
-  w.msg = *m;
+  w.msg = get_message(c);
   std::uint64_t k = c.varint();
   if (c.fail || k > len) return std::nullopt;  // k bounded by input size
   w.acks.reserve(static_cast<std::size_t>(k));
@@ -272,7 +177,7 @@ std::vector<std::uint8_t> encode_ack(const WireAck& a) {
 }
 
 std::optional<WireAck> decode_ack(const std::uint8_t* d, std::size_t len) {
-  Cursor c{d, len};
+  ByteCursor c{d, len};
   WireAck a;
   a.from = c.zig32();
   a.to = c.zig32();
@@ -302,7 +207,7 @@ std::vector<std::uint8_t> encode_status(const WireStatus& s) {
 
 std::optional<WireStatus> decode_status(const std::uint8_t* d,
                                         std::size_t len) {
-  Cursor c{d, len};
+  ByteCursor c{d, len};
   WireStatus s;
   s.id = c.zig32();
   s.epoch = c.varint();
@@ -334,7 +239,7 @@ std::vector<std::uint8_t> encode_init(const WireInit& i) {
 }
 
 std::optional<WireInit> decode_init(const std::uint8_t* d, std::size_t len) {
-  Cursor c{d, len};
+  ByteCursor c{d, len};
   WireInit i;
   i.action = c.zig();
   if (!c.done()) return std::nullopt;
@@ -353,7 +258,7 @@ std::vector<std::uint8_t> encode_peers(const WirePeers& p) {
 
 std::optional<WirePeers> decode_peers(const std::uint8_t* d,
                                       std::size_t len) {
-  Cursor c{d, len};
+  ByteCursor c{d, len};
   WirePeers p;
   std::uint64_t k = c.varint();
   if (c.fail || k > len) return std::nullopt;

@@ -23,11 +23,12 @@
 // above the socket, and a codec that trusts its input is one bad length
 // away from allocating 4GB.
 //
-// Payload codecs for the runtime's envelopes live here too (varint/zigzag,
-// same idiom as store/codec): the data envelope keeps the SEND-TICK rider,
-// so the lifted cross-process run still asserts R3 operationally, exactly
-// as the in-process transport does.  Every decode_* is total: nullopt on
-// truncation, trailing bytes, or out-of-range tags.
+// Payload codecs for the runtime's envelopes live here too, on the shared
+// byte codec (common/bytes.h); the data envelope's Message fields are the
+// WAL record's (put_message/get_message, store/codec.h), and it keeps the
+// SEND-TICK rider, so the lifted cross-process run still asserts R3
+// operationally, exactly as the in-process transport does.  Every decode_*
+// is total: nullopt on truncation, trailing bytes, or out-of-range tags.
 #pragma once
 
 #include <cstddef>

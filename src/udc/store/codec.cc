@@ -5,66 +5,6 @@
 
 namespace udc {
 
-namespace {
-
-// LEB128 with the standard zigzag map for signed fields: small magnitudes —
-// including the ubiquitous -1 sentinels (kInvalidProcess, kInvalidAction) —
-// encode in one byte.
-
-std::uint64_t zigzag(std::int64_t v) {
-  return (static_cast<std::uint64_t>(v) << 1) ^
-         static_cast<std::uint64_t>(v >> 63);
-}
-
-std::int64_t unzigzag(std::uint64_t v) {
-  return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
-}
-
-std::uint8_t* put_varint(std::uint8_t* out, std::uint64_t v) {
-  while (v >= 0x80) {
-    *out++ = static_cast<std::uint8_t>(v) | 0x80u;
-    v >>= 7;
-  }
-  *out++ = static_cast<std::uint8_t>(v);
-  return out;
-}
-
-// False on a truncated or over-long (>10 byte) field; `pos` advances only
-// on success.
-bool get_varint(const std::uint8_t* data, std::size_t len, std::size_t& pos,
-                std::uint64_t& out) {
-  std::uint64_t v = 0;
-  for (int shift = 0; shift < 70; shift += 7) {
-    if (pos >= len) return false;
-    const std::uint8_t b = data[pos++];
-    v |= static_cast<std::uint64_t>(b & 0x7Fu) << shift;
-    if ((b & 0x80u) == 0) {
-      out = v;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool get_i64(const std::uint8_t* data, std::size_t len, std::size_t& pos,
-             std::int64_t& out) {
-  std::uint64_t raw = 0;
-  if (!get_varint(data, len, pos, raw)) return false;
-  out = unzigzag(raw);
-  return true;
-}
-
-bool get_i32(const std::uint8_t* data, std::size_t len, std::size_t& pos,
-             std::int32_t& out) {
-  std::int64_t wide = 0;
-  if (!get_i64(data, len, pos, wide)) return false;
-  if (wide < INT32_MIN || wide > INT32_MAX) return false;
-  out = static_cast<std::int32_t>(wide);
-  return true;
-}
-
-}  // namespace
-
 std::vector<std::uint8_t> encode_record(const StoreRecord& r) {
   std::vector<std::uint8_t> out(kMaxStoreRecordBytes);
   out.resize(encode_record_into(r, out.data()));
@@ -73,49 +13,30 @@ std::vector<std::uint8_t> encode_record(const StoreRecord& r) {
 
 std::size_t encode_record_into(const StoreRecord& r, std::uint8_t* out) {
   std::uint8_t* w = out;
-  w = put_varint(w, zigzag(r.t));
+  w = put_zigzag(w, r.t);
   *w++ = static_cast<std::uint8_t>(r.e.kind);
-  w = put_varint(w, zigzag(r.e.peer));
-  *w++ = static_cast<std::uint8_t>(r.e.msg.kind);
-  w = put_varint(w, zigzag(r.e.msg.action));
-  w = put_varint(w, r.e.msg.procs.bits());
-  w = put_varint(w, zigzag(r.e.msg.a));
-  w = put_varint(w, zigzag(r.e.msg.b));
-  w = put_varint(w, zigzag(r.e.action));
+  w = put_zigzag(w, r.e.peer);
+  w = put_message(w, r.e.msg);
+  w = put_zigzag(w, r.e.action);
   w = put_varint(w, r.e.suspects.bits());
-  w = put_varint(w, zigzag(r.e.k));
+  w = put_zigzag(w, r.e.k);
   return static_cast<std::size_t>(w - out);
 }
 
 std::optional<StoreRecord> decode_record(const std::uint8_t* data,
                                          std::size_t len) {
+  ByteCursor c{data, len};
   StoreRecord r;
-  std::size_t pos = 0;
-  if (!get_i64(data, len, pos, r.t)) return std::nullopt;
-  if (pos >= len) return std::nullopt;
-  const std::uint8_t kind = data[pos++];
-  if (kind > static_cast<std::uint8_t>(EventKind::kSuspectGen)) {
-    return std::nullopt;
-  }
+  r.t = c.zig();
+  const std::uint8_t kind = c.byte();
+  if (kind > static_cast<std::uint8_t>(EventKind::kSuspectGen)) c.fail = true;
   r.e.kind = static_cast<EventKind>(kind);
-  if (!get_i32(data, len, pos, r.e.peer)) return std::nullopt;
-  if (pos >= len) return std::nullopt;
-  const std::uint8_t msg_kind = data[pos++];
-  if (msg_kind > static_cast<std::uint8_t>(MsgKind::kRejoin)) {
-    return std::nullopt;
-  }
-  r.e.msg.kind = static_cast<MsgKind>(msg_kind);
-  std::uint64_t bits = 0;
-  if (!get_i64(data, len, pos, r.e.msg.action)) return std::nullopt;
-  if (!get_varint(data, len, pos, bits)) return std::nullopt;
-  r.e.msg.procs = ProcSet(bits);
-  if (!get_i64(data, len, pos, r.e.msg.a)) return std::nullopt;
-  if (!get_i64(data, len, pos, r.e.msg.b)) return std::nullopt;
-  if (!get_i64(data, len, pos, r.e.action)) return std::nullopt;
-  if (!get_varint(data, len, pos, bits)) return std::nullopt;
-  r.e.suspects = ProcSet(bits);
-  if (!get_i32(data, len, pos, r.e.k)) return std::nullopt;
-  if (pos != len) return std::nullopt;  // trailing bytes
+  r.e.peer = c.zig32();
+  r.e.msg = get_message(c);
+  r.e.action = c.zig();
+  r.e.suspects = ProcSet(c.varint());
+  r.e.k = c.zig32();
+  if (!c.done()) return std::nullopt;  // truncated, bad tag, or trailing
   return r;
 }
 

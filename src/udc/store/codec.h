@@ -11,10 +11,13 @@
 // decode_record is total — malformed input yields nullopt, never an
 // exception — because the recovery path must treat a CRC-valid-but-
 // nonsensical frame the same way it treats a torn one: truncate and
-// re-learn, not crash.  Totality with varints rests on two checks: every
-// field read fails cleanly at the buffer's end (so no strict prefix of an
-// encoding ever decodes), and the eleven fields must consume exactly `len`
-// bytes (so no encoding with trailing junk does either).
+// re-learn, not crash.  Totality comes from the shared ByteCursor
+// (common/bytes.h): every field read fails cleanly at the buffer's end,
+// and the eleven fields must consume exactly `len` bytes.
+//
+// A record's five Message fields are the same bytes, in the same order, as
+// the wire's data envelope (net/wire.h); put_message/get_message below are
+// the one codec for both.
 #pragma once
 
 #include <cstddef>
@@ -22,10 +25,35 @@
 #include <optional>
 #include <vector>
 
+#include "udc/common/bytes.h"
 #include "udc/common/types.h"
 #include "udc/event/event.h"
 
 namespace udc {
+
+// A tag byte and four varints.
+inline constexpr std::size_t kMaxMessageBytes = 1 + 4 * kMaxVarintBytes;
+
+inline std::uint8_t* put_message(std::uint8_t* out, const Message& m) {
+  *out++ = static_cast<std::uint8_t>(m.kind);
+  out = put_zigzag(out, m.action);
+  out = put_varint(out, m.procs.bits());
+  out = put_zigzag(out, m.a);
+  return put_zigzag(out, m.b);
+}
+
+// Sets c.fail on a truncated field or an out-of-range kind tag.
+inline Message get_message(ByteCursor& c) {
+  Message m;
+  const std::uint8_t kind = c.byte();
+  if (kind > static_cast<std::uint8_t>(MsgKind::kRejoin)) c.fail = true;
+  m.kind = static_cast<MsgKind>(kind);
+  m.action = c.zig();
+  m.procs = ProcSet(c.varint());
+  m.a = c.zig();
+  m.b = c.zig();
+  return m;
+}
 
 struct StoreRecord {
   Time t = 0;

@@ -53,9 +53,15 @@ void GroupCommitter::round() {
     tickets.push_back(std::move(t));
   }
   // Phase 2: one batched barrier for the whole round, then let every store
-  // advance its watermark and counters.
-  if (!fds.empty()) barrier_->sync(fds);
-  for (StoreCommitTicket& t : tickets) t.store->finish_commit(t);
+  // advance its watermark and counters.  A barrier that failed anywhere
+  // fails the whole round, exactly like a scripted kSyncFail round: each
+  // store counts it, keeps its watermark and sealed fds, and retries next
+  // round.
+  const bool synced = fds.empty() || barrier_->sync(fds);
+  for (StoreCommitTicket& t : tickets) {
+    t.wal.sync_failing = t.wal.sync_failing || !synced;
+    t.store->finish_commit(t);
+  }
 }
 
 void GroupCommitter::flush_all() { round(); }

@@ -1,7 +1,5 @@
 #include "udc/store/process_store.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 
 #include "udc/common/check.h"
@@ -14,14 +12,6 @@ namespace {
 
 bool window_contains(const StorageFault& f, Time t) {
   return t >= f.begin && t < f.end;
-}
-
-void datasync_fd_local(int fd) {
-#if defined(__APPLE__)
-  (void)::fsync(fd);
-#else
-  (void)::fdatasync(fd);
-#endif
 }
 
 }  // namespace
@@ -127,10 +117,14 @@ void ProcessStore::finish_commit(StoreCommitTicket& t) {
 }
 
 void ProcessStore::flush() {
-  StoreCommitTicket t = start_commit();
-  if (!t.wal.pending) return;
-  for (int fd : t.wal.fds) datasync_fd_local(fd);
-  finish_commit(t);
+  std::shared_ptr<WalWriter> writer;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    writer = writer_;
+  }
+  // The writer's own drain + serial barrier, under its drain lock (so it
+  // waits out a round in flight); a barrier that fails is counted there.
+  if (writer->commit()) group_commits_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ProcessStore::rotate_snapshot() {
@@ -166,9 +160,11 @@ void ProcessStore::apply_kill_faults(Time kill_time, Rng& rng) {
         // segment's tail.
         std::uint8_t frame[kMaxWalFrameBytes];
         const std::size_t len = encode_record_into(
-            StoreRecord{kill_time, Event::crash()}, frame + 8);
-        wal_frame_into(frame + 8, static_cast<std::uint32_t>(len), frame);
-        const std::uint64_t cut = 1 + rng.next_below(std::uint64_t{8} + len - 1);
+            StoreRecord{kill_time, Event::crash()}, frame + kFrameHeaderBytes);
+        wal_frame_into(frame + kFrameHeaderBytes,
+                       static_cast<std::uint32_t>(len), frame);
+        const std::uint64_t cut =
+            1 + rng.next_below(kFrameHeaderBytes + len - 1);
         writer_->inject_torn_write(frame, static_cast<std::size_t>(cut));
         ++counters_.storage_faults_injected;
         break;

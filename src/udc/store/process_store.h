@@ -124,7 +124,9 @@ class ProcessStore {
   // start_commit/finish_commit instead.  A round in flight holds the drain
   // lock, so a concurrent flush() first waits it out, then barriers only
   // what that round did not cover: on return, every frame appended before
-  // the call is durable (barring an injected kSyncFail window).
+  // the call is durable — unless the barrier failed (a kSyncFail window or
+  // an fdatasync error), which is counted in sync_failures and leaves the
+  // durable floor where it was.
   void flush();
 
   // Two-phase commit for GroupCommitter::round().  start_commit pins the

@@ -3,10 +3,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 
+#include "udc/common/bytes.h"
 #include "udc/common/check.h"
 #include "udc/store/wal.h"
 
@@ -15,19 +15,7 @@ namespace udc {
 namespace {
 
 constexpr char kMagic[8] = {'U', 'D', 'C', 'S', 'N', 'P', '0', '1'};
-
-void write_all(int fd, const std::uint8_t* data, std::size_t len,
-               const std::string& path) {
-  while (len > 0) {
-    ssize_t put = ::write(fd, data, len);
-    if (put < 0) {
-      if (errno == EINTR) continue;
-      UDC_CHECK(false, "snapshot write failed: " + path);
-    }
-    data += put;
-    len -= static_cast<std::size_t>(put);
-  }
-}
+constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 8;  // + u64le count
 
 }  // namespace
 
@@ -40,24 +28,26 @@ void write_snapshot_file(const std::string& path,
 
   // One worst-case buffer, frames encoded in place and trimmed to the
   // packed size — no per-record heap allocation on the rotation path.
-  std::vector<std::uint8_t> out(sizeof(kMagic) + 8 +
+  std::vector<std::uint8_t> out(kHeaderBytes +
                                 records.size() * kMaxWalFrameBytes);
   std::uint8_t* w = out.data();
   std::memcpy(w, kMagic, sizeof(kMagic));
-  w += sizeof(kMagic);
   const auto count = static_cast<std::uint64_t>(records.size());
-  for (int i = 0; i < 8; ++i) {
-    *w++ = static_cast<std::uint8_t>(count >> (8 * i));
-  }
+  store_u32le(w + sizeof(kMagic), static_cast<std::uint32_t>(count));
+  store_u32le(w + sizeof(kMagic) + 4, static_cast<std::uint32_t>(count >> 32));
+  w += kHeaderBytes;
   for (const StoreRecord& r : records) {
-    const std::size_t len = encode_record_into(r, w + 8);
-    wal_frame_into(w + 8, static_cast<std::uint32_t>(len), w);
-    w += 8 + len;
+    const std::size_t len = encode_record_into(r, w + kFrameHeaderBytes);
+    wal_frame_into(w + kFrameHeaderBytes, static_cast<std::uint32_t>(len), w);
+    w += kFrameHeaderBytes + len;
   }
   out.resize(static_cast<std::size_t>(w - out.data()));
-  write_all(fd, out.data(), out.size(), tmp);
-  ::fsync(fd);
-  ::close(fd);
+  write_all(fd, out.data(), out.size(), 0, tmp);
+  // The rename publishes the snapshot and the caller then truncates the
+  // WAL it covers, so a snapshot whose barrier failed must never get there.
+  const int sync_err = datasync(fd);
+  const bool closed = ::close(fd) == 0;
+  UDC_CHECK(sync_err == 0 && closed, "snapshot: sync failed: " + tmp);
   UDC_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
             "snapshot: rename failed: " + path);
 }
@@ -65,55 +55,22 @@ void write_snapshot_file(const std::string& path,
 std::optional<Snapshot> read_snapshot_file(const std::string& path) {
   int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return std::nullopt;
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[65'536];
-  for (;;) {
-    ssize_t got = ::read(fd, buf, sizeof(buf));
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return std::nullopt;
-    }
-    if (got == 0) break;
-    bytes.insert(bytes.end(), buf, buf + got);
-  }
+  std::uint8_t head[kHeaderBytes] = {};
+  const bool headed = ::read(fd, head, sizeof(head)) ==
+                          static_cast<ssize_t>(sizeof(head)) &&
+                      std::memcmp(head, kMagic, sizeof(kMagic)) == 0;
+  // The body reuses the WAL framing and scan, read strictly: a snapshot is
+  // all-or-nothing, so exactly `count` valid frames and not one byte more.
+  Snapshot snap;
+  FrameScan body;
+  if (headed) body = scan_frames(fd, 0, collect_records(snap.records));
   ::close(fd);
-
-  if (bytes.size() < sizeof(kMagic) + 8) return std::nullopt;
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
+  const std::uint64_t count =
+      load_u32le(head + sizeof(kMagic)) |
+      static_cast<std::uint64_t>(load_u32le(head + sizeof(kMagic) + 4)) << 32;
+  if (!headed || body.frames != count || body.valid_bytes != body.file_bytes) {
     return std::nullopt;
   }
-  std::uint64_t count = 0;
-  for (int i = 0; i < 8; ++i) {
-    count |= static_cast<std::uint64_t>(bytes[sizeof(kMagic) + i]) << (8 * i);
-  }
-
-  // The body reuses the WAL framing; scan it strictly here — a snapshot is
-  // all-or-nothing, so any defect invalidates the whole file.
-  Snapshot snap;
-  std::size_t off = sizeof(kMagic) + 8;
-  const std::size_t header = 8;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    if (bytes.size() - off < header) return std::nullopt;
-    std::uint32_t len = 0;
-    for (int j = 0; j < 4; ++j) {
-      len |= static_cast<std::uint32_t>(bytes[off + j]) << (8 * j);
-    }
-    if (len == 0 || len > kMaxStoreRecordBytes) return std::nullopt;
-    if (bytes.size() - off - header < len) return std::nullopt;
-    // Re-frame in a stack buffer for the CRC check — the body reuses the
-    // WAL framing byte for byte.
-    std::uint8_t expect[kMaxWalFrameBytes];
-    wal_frame_into(bytes.data() + off + header, len, expect);
-    if (std::memcmp(expect, bytes.data() + off, header + len) != 0) {
-      return std::nullopt;
-    }
-    auto rec = decode_record(bytes.data() + off + header, len);
-    if (!rec) return std::nullopt;
-    snap.records.push_back(*rec);
-    off += header + len;
-  }
-  if (off != bytes.size()) return std::nullopt;  // trailing junk
   return snap;
 }
 

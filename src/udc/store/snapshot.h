@@ -1,12 +1,13 @@
 // Snapshot files: an atomically-replaced compaction of a process's durable
 // event prefix.
 //
-// A snapshot is written to <path>.tmp, fsync'd, and rename(2)'d into place,
-// so at every instant <path> is either absent, the old snapshot, or the new
-// one — never a half-written hybrid.  The WAL is truncated only AFTER the
-// rename lands; a crash in between leaves snapshot and WAL overlapping,
-// which recovery resolves by replaying only WAL records with tick >
-// snapshot.last_tick.
+// A snapshot is a magic, a u64le record count and that many WAL-framed
+// records (store/wal.h), each with its own CRC.  It is written to
+// <path>.tmp, datasync'd, and rename(2)'d into place, so at every instant
+// <path> is either absent, the old snapshot, or the new one — never a
+// half-written hybrid.  The WAL is truncated only AFTER the rename lands; a
+// crash in between leaves snapshot and WAL overlapping, which recovery
+// resolves by replaying only WAL records with tick > snapshot.last_tick.
 //
 // The reader is tolerant anyway: a file that fails magic, framing, CRC, or
 // count checks reads as "no snapshot" rather than throwing.  Losing a
@@ -31,8 +32,9 @@ struct Snapshot {
   Time last_tick() const { return records.empty() ? 0 : records.back().t; }
 };
 
-// Atomic write (tmp + fsync + rename).  Throws InvariantViolation on I/O
-// failure — an unusable log directory is configuration, not a fault.
+// Atomic write (tmp + datasync + rename).  Throws InvariantViolation on
+// I/O failure — before the rename if the write or its barrier failed, so
+// a snapshot that may not be on disk never replaces the old one.
 void write_snapshot_file(const std::string& path,
                          const std::vector<StoreRecord>& records);
 

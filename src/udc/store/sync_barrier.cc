@@ -1,7 +1,5 @@
 #include "udc/store/sync_barrier.h"
 
-#include <unistd.h>
-
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -9,23 +7,19 @@
 #include <mutex>
 #include <thread>
 
+#include "udc/store/wal.h"
+
 namespace udc {
 
 namespace {
 
-void datasync_ignore_errors(int fd) {
-#if defined(__APPLE__)
-  (void)::fsync(fd);
-#else
-  (void)::fdatasync(fd);
-#endif
-}
-
 class SerialBarrier : public SyncBarrier {
  public:
-  void sync(const std::vector<int>& fds) override {
+  bool sync(const std::vector<int>& fds) override {
     std::lock_guard<std::mutex> lock(mu_);
-    for (int fd : fds) datasync_ignore_errors(fd);
+    bool ok = true;
+    for (int fd : fds) ok = datasync(fd) == 0 && ok;
+    return ok;
   }
   const char* name() const override { return "serial"; }
 
@@ -56,8 +50,8 @@ class PoolBarrier : public SyncBarrier {
     for (auto& w : workers_) w.join();
   }
 
-  void sync(const std::vector<int>& fds) override {
-    if (fds.empty()) return;
+  bool sync(const std::vector<int>& fds) override {
+    if (fds.empty()) return true;
     auto r = std::make_shared<Round>();
     r->fds = fds;
     {
@@ -68,6 +62,7 @@ class PoolBarrier : public SyncBarrier {
     cv_.notify_all();
     std::unique_lock<std::mutex> lock(r->m);
     r->cv.wait(lock, [&] { return r->done == r->fds.size(); });
+    return r->failed == 0;
   }
 
   const char* name() const override { return "pool"; }
@@ -77,7 +72,8 @@ class PoolBarrier : public SyncBarrier {
     std::vector<int> fds;
     std::atomic<std::size_t> next{0};
     std::mutex m;
-    std::size_t done = 0;
+    std::size_t done = 0;    // fds synced or failed, under m
+    std::size_t failed = 0;  // fds whose barrier reported an error, under m
     std::condition_variable cv;
   };
 
@@ -93,15 +89,17 @@ class PoolBarrier : public SyncBarrier {
         r = round_;
       }
       std::size_t synced = 0;
+      std::size_t failed = 0;
       for (;;) {
         const std::size_t i = r->next.fetch_add(1, std::memory_order_relaxed);
         if (i >= r->fds.size()) break;
-        datasync_ignore_errors(r->fds[i]);
+        if (datasync(r->fds[i]) != 0) ++failed;
         ++synced;
       }
       {
         std::lock_guard<std::mutex> lock(r->m);
         r->done += synced;
+        r->failed += failed;
         if (r->done == r->fds.size()) r->cv.notify_one();
       }
     }

@@ -29,11 +29,10 @@ class SyncBarrier {
  public:
   virtual ~SyncBarrier() = default;
 
-  // Issues a data barrier for every fd, returning when all have landed.
-  // fdatasync errors are ignored (scripted sync failures are modeled ABOVE
-  // this layer, by withholding fds; a real EIO here would also surface on
-  // close/read during recovery).
-  virtual void sync(const std::vector<int>& fds) = 0;
+  // Issues a data barrier for every fd and waits for all of them.  Returns
+  // true iff every one landed; on false the caller counts nothing in the
+  // round as durable.
+  virtual bool sync(const std::vector<int>& fds) = 0;
 
   virtual const char* name() const = 0;
 

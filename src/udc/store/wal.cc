@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include "udc/common/bytes.h"
 #include "udc/common/check.h"
 #include "udc/store/crc32.h"
 
@@ -17,41 +18,23 @@ namespace udc {
 
 namespace {
 
-// Store records encode well under this, but the format allows any payload
-// up to this bound; a corrupted length field beyond it is rejected without
-// attempting a giant allocation.
-constexpr std::uint32_t kMaxFramePayload = 1u << 16;
-constexpr std::size_t kFrameHeader = 8;  // u32 len + u32 crc
-
 std::uint32_t frame_crc(std::uint32_t len, const std::uint8_t* payload) {
   std::uint8_t len_bytes[4];
-  for (int i = 0; i < 4; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(len >> (8 * i));
-  }
-  std::uint32_t c = crc32c(len_bytes, sizeof(len_bytes));
-  return crc32c(payload, len, c);
+  store_u32le(len_bytes, len);
+  return crc32c(payload, len, crc32c(len_bytes, sizeof(len_bytes)));
 }
 
-void pwrite_all(int fd, const std::uint8_t* data, std::size_t len, off_t off,
-                const std::string& path) {
-  while (len > 0) {
-    ssize_t put = ::pwrite(fd, data, len, off);
-    if (put < 0) {
-      if (errno == EINTR) continue;
-      UDC_CHECK(false, "WAL write failed: " + path);
-    }
-    data += put;
-    off += put;
-    len -= static_cast<std::size_t>(put);
-  }
-}
+// The frame check: is there a whole, valid frame at the front of `p`?
+enum class FrameCheck { kValid, kShort, kBad };
 
-int datasync_fd(int fd) {
-#if defined(__APPLE__)
-  return ::fsync(fd);
-#else
-  return ::fdatasync(fd);
-#endif
+FrameCheck check_frame(const std::uint8_t* p, std::size_t avail) {
+  if (avail < kFrameHeaderBytes) return FrameCheck::kShort;
+  const std::uint32_t len = load_u32le(p);
+  if (len == 0 || len > kMaxFramePayload) return FrameCheck::kBad;
+  if (avail - kFrameHeaderBytes < len) return FrameCheck::kShort;
+  return frame_crc(len, p + kFrameHeaderBytes) == load_u32le(p + 4)
+             ? FrameCheck::kValid
+             : FrameCheck::kBad;
 }
 
 void preallocate_fd(int fd, std::uint64_t bytes) {
@@ -67,118 +50,147 @@ void preallocate_fd(int fd, std::uint64_t bytes) {
 
 }  // namespace
 
+int datasync(int fd) {
+#if defined(__APPLE__)
+  const int rc = ::fsync(fd);
+#else
+  const int rc = ::fdatasync(fd);
+#endif
+  return rc == 0 ? 0 : errno;
+}
+
+void write_all(int fd, const std::uint8_t* data, std::size_t len,
+               std::int64_t off, const std::string& path) {
+  while (len > 0) {
+    const ssize_t put = off < 0 ? ::write(fd, data, len)
+                                : ::pwrite(fd, data, len, off);
+    if (put < 0) {
+      if (errno == EINTR) continue;
+      UDC_CHECK(false, "write failed: " + path + ": " + std::strerror(errno));
+    }
+    data += put;
+    if (off >= 0) off += put;
+    len -= static_cast<std::size_t>(put);
+  }
+}
+
 void wal_frame_into(const std::uint8_t* payload, std::uint32_t len,
                     std::uint8_t* out) {
   UDC_CHECK(len > 0 && len <= kMaxFramePayload,
             "WAL frame payload out of range");
-  const std::uint32_t crc = frame_crc(len, payload);
-  for (int i = 0; i < 4; ++i) {
-    out[i] = static_cast<std::uint8_t>(len >> (8 * i));
-    out[4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
-  }
-  // Callers encoding in place pass payload == out + 8 already.
-  if (payload != out + kFrameHeader) {
-    std::memcpy(out + kFrameHeader, payload, len);
+  store_u32le(out, len);
+  store_u32le(out + 4, frame_crc(len, payload));
+  if (payload != out + kFrameHeaderBytes) {
+    std::memcpy(out + kFrameHeaderBytes, payload, len);
   }
 }
 
 std::vector<std::uint8_t> wal_frame(const std::vector<std::uint8_t>& payload) {
   UDC_CHECK(!payload.empty() && payload.size() <= kMaxFramePayload,
             "WAL frame payload out of range");
-  std::vector<std::uint8_t> out(kFrameHeader + payload.size());
+  std::vector<std::uint8_t> out(kFrameHeaderBytes + payload.size());
   wal_frame_into(payload.data(), static_cast<std::uint32_t>(payload.size()),
                  out.data());
   return out;
 }
 
-WalReadResult read_wal_file(const std::string& path,
-                            std::size_t max_read_chunk) {
-  WalReadResult res;
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return res;  // missing == empty
+FrameScan scan_frames(int fd, std::size_t max_read_chunk,
+                      const FramePayloadFn& on_payload) {
+  FrameScan res;
+  auto note_tail = [&res](const std::uint8_t* p, std::size_t n) {
+    res.tail_nonzero = res.tail_nonzero ||
+                       std::any_of(p, p + n, [](std::uint8_t b) { return b; });
+  };
   const std::size_t chunk = max_read_chunk > 0 ? max_read_chunk : 65'536;
   std::vector<std::uint8_t> rd(chunk);
   std::vector<std::uint8_t> carry;  // unparsed bytes, bounded by one frame
   bool scanning = true;             // still extending the valid prefix
   for (;;) {
-    ssize_t got = ::read(fd, rd.data(), chunk);
+    const ssize_t got = ::read(fd, rd.data(), chunk);
     if (got < 0) {
       if (errno == EINTR) continue;
       break;  // unreadable tail: treat what we have as the file
     }
     if (got == 0) break;
-    res.file_bytes += static_cast<std::uint64_t>(got);
-    if (!scanning) {
-      // Past the prefix already: only scanning for a nonzero junk byte.
-      if (!res.tail_nonzero) {
-        for (ssize_t i = 0; i < got; ++i) {
-          if (rd[static_cast<std::size_t>(i)] != 0) {
-            res.tail_nonzero = true;
-            break;
-          }
-        }
-      }
+    const auto n = static_cast<std::size_t>(got);
+    res.file_bytes += n;
+    if (!scanning) {  // past the prefix: only looking for a nonzero byte
+      note_tail(rd.data(), n);
       continue;
     }
     carry.insert(carry.end(), rd.begin(), rd.begin() + got);
     std::size_t pos = 0;
-    while (carry.size() - pos >= kFrameHeader) {
+    for (;;) {
       const std::uint8_t* p = carry.data() + pos;
-      std::uint32_t len = 0;
-      std::uint32_t crc = 0;
-      for (int i = 0; i < 4; ++i) {
-        len |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-        crc |= static_cast<std::uint32_t>(p[4 + i]) << (8 * i);
-      }
-      if (len == 0 || len > kMaxFramePayload) {
+      const FrameCheck check = check_frame(p, carry.size() - pos);
+      if (check == FrameCheck::kShort) break;  // need more bytes
+      const std::uint32_t len = load_u32le(p);
+      if (check == FrameCheck::kBad ||
+          !on_payload(p + kFrameHeaderBytes, len)) {
         scanning = false;
         break;
       }
-      if (carry.size() - pos - kFrameHeader < len) break;  // need more bytes
-      if (frame_crc(len, p + kFrameHeader) != crc) {  // flipped bits
-        scanning = false;
-        break;
-      }
-      auto rec = decode_record(p + kFrameHeader, len);
-      if (!rec) {  // checksum-valid but not a record we wrote
-        scanning = false;
-        break;
-      }
-      res.records.push_back(*rec);
-      pos += kFrameHeader + len;
-      res.valid_bytes += kFrameHeader + len;
+      pos += kFrameHeaderBytes + len;
+      res.valid_bytes += kFrameHeaderBytes + len;
+      ++res.frames;
     }
     carry.erase(carry.begin(), carry.begin() + static_cast<std::ptrdiff_t>(pos));
     if (!scanning) {
-      for (std::uint8_t b : carry) {
-        if (b != 0) {
-          res.tail_nonzero = true;
-          break;
-        }
-      }
+      note_tail(carry.data(), carry.size());
       carry.clear();
     }
   }
+  note_tail(carry.data(), carry.size());  // a torn final frame
+  return res;
+}
+
+FrameScan read_frame_file(const std::string& path, std::size_t max_read_chunk,
+                          const FramePayloadFn& on_payload) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return {};  // missing == empty
+  const FrameScan res = scan_frames(fd, max_read_chunk, on_payload);
   ::close(fd);
-  if (scanning && !carry.empty()) {  // torn final frame
-    for (std::uint8_t b : carry) {
-      if (b != 0) {
-        res.tail_nonzero = true;
-        break;
-      }
-    }
-  }
-  res.tail_corrupt = res.file_bytes > res.valid_bytes;
+  return res;
+}
+
+FrameScan repair_frame_file(const std::string& path,
+                            const FramePayloadFn& on_payload, bool sync) {
+  const FrameScan res = read_frame_file(path, 0, on_payload);
+  if (res.valid_bytes == res.file_bytes) return res;
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+  const bool cut =
+      fd >= 0 &&
+      ::ftruncate(fd, static_cast<off_t>(res.valid_bytes)) == 0 &&
+      (!sync || datasync(fd) == 0);
+  if (fd >= 0) ::close(fd);
+  UDC_CHECK(cut, "cannot cut " + path + " to its valid frame prefix");
+  return res;
+}
+
+FramePayloadFn collect_records(std::vector<StoreRecord>& out) {
+  return [&out](const std::uint8_t* payload, std::uint32_t len) {
+    auto rec = decode_record(payload, len);
+    if (rec) out.push_back(*rec);
+    return rec.has_value();
+  };
+}
+
+WalReadResult read_wal_file(const std::string& path,
+                            std::size_t max_read_chunk) {
+  WalReadResult res;
+  const FrameScan s =
+      read_frame_file(path, max_read_chunk, collect_records(res.records));
+  res.valid_bytes = s.valid_bytes;
+  res.file_bytes = s.file_bytes;
+  res.tail_corrupt = s.file_bytes > s.valid_bytes;
+  res.tail_nonzero = s.tail_nonzero;
   return res;
 }
 
 bool repair_wal_file(const std::string& path) {
-  WalReadResult res = read_wal_file(path);
-  if (!res.tail_corrupt) return false;
-  UDC_CHECK(::truncate(path.c_str(),
-                       static_cast<off_t>(res.valid_bytes)) == 0,
-            "WAL repair truncate failed: " + path);
-  return true;
+  std::vector<StoreRecord> records;
+  const FrameScan s = repair_frame_file(path, collect_records(records));
+  return s.file_bytes > s.valid_bytes;
 }
 
 std::string wal_segment_path(const std::string& base, unsigned seq) {
@@ -216,9 +228,7 @@ WalReadResult read_wal(const std::string& base, std::size_t max_read_chunk) {
   WalReadResult out;
   bool stopped = false;
   unsigned expect = segs.front().first;
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    const auto& [seq, path] = segs[i];
-    const bool last = (i + 1 == segs.size());
+  for (const auto& [seq, path] : segs) {
     if (stopped || seq != expect) {
       // Past the global prefix (corruption upstream, or a hole in the
       // chain): whatever lives here is junk.
@@ -247,7 +257,6 @@ WalReadResult read_wal(const std::string& base, std::size_t max_read_chunk) {
       // way the zeros carry no frames — keep stitching so synced data in
       // later segments still counts.
       out.tail_corrupt = true;
-      (void)last;
     }
   }
   return out;
@@ -259,8 +268,7 @@ bool repair_wal(const std::string& base) {
   bool cut_nonzero = false;
   bool kill_rest = false;
   unsigned expect = segs.front().first;
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    const auto& [seq, path] = segs[i];
+  for (const auto& [seq, path] : segs) {
     if (kill_rest || seq != expect) {
       WalReadResult r = read_wal_file(path);
       if (r.valid_bytes > 0 || r.tail_nonzero) cut_nonzero = true;
@@ -270,19 +278,12 @@ bool repair_wal(const std::string& base) {
       continue;
     }
     ++expect;
-    WalReadResult r = read_wal_file(path);
-    if (r.tail_nonzero) {
-      UDC_CHECK(::truncate(path.c_str(),
-                           static_cast<off_t>(r.valid_bytes)) == 0,
-                "WAL repair truncate failed: " + path);
+    // A zero tail (preallocation / interrupted seal) is trimmed silently so
+    // the next incarnation sees exact sizes; it is not a torn tail.
+    std::vector<StoreRecord> records;
+    if (repair_frame_file(path, collect_records(records)).tail_nonzero) {
       cut_nonzero = true;
       kill_rest = true;  // everything after is past the global prefix
-    } else if (r.tail_corrupt) {
-      // Zero tail (preallocation / interrupted seal): trim silently so the
-      // next incarnation sees exact sizes, but this is not a torn tail.
-      UDC_CHECK(::truncate(path.c_str(),
-                           static_cast<off_t>(r.valid_bytes)) == 0,
-                "WAL repair truncate failed: " + path);
     }
   }
   return cut_nonzero;
@@ -325,7 +326,7 @@ WalWriter::WalWriter(std::string path, WalOptions opts)
       next_seq_ = seq + 1;
     }
     if (segs_.empty()) {
-      open_fresh_tail_locked();
+      open_next_segment_locked();
     } else {
       fd_ = ::open(segs_.back().path.c_str(), O_RDWR | O_CLOEXEC);
       UDC_CHECK(fd_ >= 0, "WalWriter: cannot open " + segs_.back().path);
@@ -344,8 +345,6 @@ WalWriter::WalWriter(std::string path, FsyncPolicy policy, int sync_every)
     : WalWriter(std::move(path), WalOptions{policy, sync_every, 0, 0, false}) {}
 
 WalWriter::~WalWriter() { close(); }
-
-void WalWriter::open_fresh_tail_locked() { open_next_segment_locked(); }
 
 void WalWriter::open_next_segment_locked() {
   const std::string spath = wal_segment_path(path_, next_seq_);
@@ -381,8 +380,8 @@ void WalWriter::write_ring_frames_locked(std::uint64_t from,
   auto flush_batch = [&] {
     if (scratch_.empty()) return;
     Segment& s = segs_.back();
-    pwrite_all(fd_, scratch_.data(), scratch_.size(),
-               static_cast<off_t>(s.data), s.path);
+    write_all(fd_, scratch_.data(), scratch_.size(),
+              static_cast<std::int64_t>(s.data), s.path);
     s.data += scratch_.size();
     written_.fetch_add(scratch_.size(), std::memory_order_relaxed);
     written_frames_.fetch_add(batch_frames, std::memory_order_relaxed);
@@ -391,11 +390,7 @@ void WalWriter::write_ring_frames_locked(std::uint64_t from,
   };
   for (std::uint64_t i = from; i != from + frames; ++i) {
     const std::uint8_t* slot = ring_slot(i);
-    std::uint32_t len = 0;
-    for (int j = 0; j < 4; ++j) {
-      len |= static_cast<std::uint32_t>(slot[j]) << (8 * j);
-    }
-    const std::size_t frame_bytes = kFrameHeader + len;
+    const std::size_t frame_bytes = kFrameHeaderBytes + load_u32le(slot);
     if (opts_.segment_bytes > 0 &&
         segs_.back().data + scratch_.size() + frame_bytes >
             opts_.segment_bytes) {
@@ -438,8 +433,8 @@ std::uint64_t WalWriter::append(const StoreRecord& r) {
       drain_locked();
     }
     std::uint8_t* slot = ring_slot(tail);
-    const std::size_t len = encode_record_into(r, slot + kFrameHeader);
-    wal_frame_into(slot + kFrameHeader, static_cast<std::uint32_t>(len),
+    const std::size_t len = encode_record_into(r, slot + kFrameHeaderBytes);
+    wal_frame_into(slot + kFrameHeaderBytes, static_cast<std::uint32_t>(len),
                    slot);
     ring_tail_.store(tail + 1, std::memory_order_release);
     const std::uint64_t appended =
@@ -453,10 +448,10 @@ std::uint64_t WalWriter::append(const StoreRecord& r) {
   // nothing that was appended.
   std::lock_guard<std::mutex> dl(drain_mu_);
   std::uint8_t frame[kMaxWalFrameBytes];
-  const std::size_t len = encode_record_into(r, frame + kFrameHeader);
-  wal_frame_into(frame + kFrameHeader, static_cast<std::uint32_t>(len),
+  const std::size_t len = encode_record_into(r, frame + kFrameHeaderBytes);
+  wal_frame_into(frame + kFrameHeaderBytes, static_cast<std::uint32_t>(len),
                  frame);
-  const std::size_t frame_bytes = kFrameHeader + len;
+  const std::size_t frame_bytes = kFrameHeaderBytes + len;
   Segment* s = &segs_.back();
   if (opts_.segment_bytes > 0 &&
       s->data + frame_bytes > opts_.segment_bytes) {
@@ -464,7 +459,8 @@ std::uint64_t WalWriter::append(const StoreRecord& r) {
     open_next_segment_locked();
     s = &segs_.back();
   }
-  pwrite_all(fd_, frame, frame_bytes, static_cast<off_t>(s->data), s->path);
+  write_all(fd_, frame, frame_bytes, static_cast<std::int64_t>(s->data),
+            s->path);
   s->data += frame_bytes;
   written_.store(written_.load(std::memory_order_relaxed) + frame_bytes,
                  std::memory_order_relaxed);
@@ -489,31 +485,41 @@ bool WalWriter::commit() {
   return commit_locked();
 }
 
+bool WalWriter::pending_locked() const {
+  return written_.load(std::memory_order_relaxed) >
+             synced_.load(std::memory_order_relaxed) ||
+         !sealed_unsynced_.empty();
+}
+
 bool WalWriter::commit_locked() {
   // drain_mu_ held; the staged ring (if any) has already been drained by
-  // the caller, so written_ covers everything appended.
-  const std::uint64_t written = written_.load(std::memory_order_relaxed);
-  const bool pending = written > synced_.load(std::memory_order_relaxed) ||
-                       !sealed_unsynced_.empty();
-  if (!pending) return false;
-  if (sync_failing_.load(std::memory_order_relaxed)) {
-    // Scripted fsync failure: the kernel accepted the writes but the
-    // barrier silently did nothing — the firmware-lies failure mode.
-    sync_failures_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  for (int fd : sealed_unsynced_) {
-    datasync_fd(fd);
-    ::close(fd);
-  }
-  sealed_unsynced_.clear();
-  if (fd_ >= 0) datasync_fd(fd_);
-  const std::uint64_t wf = written_frames_.load(std::memory_order_relaxed);
-  const std::uint64_t delta = wf - synced_frames_.load(std::memory_order_relaxed);
-  synced_.store(written, std::memory_order_relaxed);
-  synced_frames_.store(wf, std::memory_order_relaxed);
-  synced_frames_cum_.fetch_add(delta, std::memory_order_relaxed);
+  // the caller, so written_ covers everything appended.  A scripted
+  // kSyncFail window is the firmware-lies failure mode: the kernel
+  // accepted the writes but the barrier silently did nothing.
+  if (!pending_locked()) return false;
+  bool synced = !sync_failing_.load(std::memory_order_relaxed);
+  for (int fd : sealed_unsynced_) synced = synced && datasync(fd) == 0;
+  if (fd_ >= 0) synced = synced && datasync(fd_) == 0;
+  settle_locked(synced, written_.load(std::memory_order_relaxed),
+                written_frames_.load(std::memory_order_relaxed));
   return true;
+}
+
+void WalWriter::settle_locked(bool synced, std::uint64_t bytes,
+                              std::uint64_t frames) {
+  // A barrier that did not land advances nothing: the watermark stays, the
+  // sealed fds stay queued, and the next round barriers them again.
+  if (!synced) {
+    sync_failures_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  for (int fd : sealed_unsynced_) ::close(fd);
+  sealed_unsynced_.clear();
+  const std::uint64_t delta =
+      frames - synced_frames_.load(std::memory_order_relaxed);
+  synced_.store(bytes, std::memory_order_relaxed);
+  synced_frames_.store(frames, std::memory_order_relaxed);
+  synced_frames_cum_.fetch_add(delta, std::memory_order_relaxed);
 }
 
 WalCommitTicket WalWriter::start_commit() {
@@ -524,15 +530,13 @@ WalCommitTicket WalWriter::start_commit() {
     return t;
   }
   drain_locked();
-  const std::uint64_t written = written_.load(std::memory_order_relaxed);
-  t.pending = written > synced_.load(std::memory_order_relaxed) ||
-              !sealed_unsynced_.empty();
+  t.pending = pending_locked();
   if (!t.pending) {
     t.lock.unlock();
     return t;
   }
   t.sync_failing = sync_failing_.load(std::memory_order_relaxed);
-  t.target_bytes = written;
+  t.target_bytes = written_.load(std::memory_order_relaxed);
   t.target_frames = written_frames_.load(std::memory_order_relaxed);
   if (!t.sync_failing) {
     t.fds = sealed_unsynced_;
@@ -544,17 +548,7 @@ WalCommitTicket WalWriter::start_commit() {
 void WalWriter::finish_commit(WalCommitTicket& t) {
   UDC_CHECK(t.pending && t.lock.owns_lock(),
             "WalWriter: finish_commit without a pending ticket");
-  if (t.sync_failing) {
-    sync_failures_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    for (int fd : sealed_unsynced_) ::close(fd);
-    sealed_unsynced_.clear();
-    const std::uint64_t delta =
-        t.target_frames - synced_frames_.load(std::memory_order_relaxed);
-    synced_.store(t.target_bytes, std::memory_order_relaxed);
-    synced_frames_.store(t.target_frames, std::memory_order_relaxed);
-    synced_frames_cum_.fetch_add(delta, std::memory_order_relaxed);
-  }
+  settle_locked(!t.sync_failing, t.target_bytes, t.target_frames);
   t.lock.unlock();
 }
 
@@ -617,7 +611,7 @@ void WalWriter::inject_torn_write(const std::uint8_t* bytes,
   const Segment& s = segs_.back();
   int fd = ::open(s.path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
   UDC_CHECK(fd >= 0, "storage fault: cannot open " + s.path);
-  pwrite_all(fd, bytes, len, static_cast<off_t>(s.data), s.path);
+  write_all(fd, bytes, len, static_cast<std::int64_t>(s.data), s.path);
   ::close(fd);
 }
 

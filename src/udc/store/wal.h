@@ -1,4 +1,6 @@
-// Durable, CRC-framed, length-prefixed write-ahead log.
+// Durable, CRC-framed, length-prefixed write-ahead log — and the frame
+// format, frame reader and file I/O that snapshots (store/snapshot.h) and
+// the service log (svc/svclog.h) share with it.
 //
 // On-disk layout: a sequence of frames
 //
@@ -52,6 +54,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -60,6 +63,26 @@
 #include "udc/store/codec.h"
 
 namespace udc {
+
+// --- files ------------------------------------------------------------------
+
+// The one data barrier under every durable file: fdatasync (fsync where
+// there is none).  Returns 0, or the errno of a barrier that did not land
+// — which its caller must never count as durable.
+int datasync(int fd);
+
+// The one EINTR/short-write loop for durable files: writes all `len` bytes
+// at offset `off`, or at the file position when `off` is negative.  Throws
+// InvariantViolation naming `path` on any other failure.
+void write_all(int fd, const std::uint8_t* data, std::size_t len,
+               std::int64_t off, const std::string& path);
+
+// --- frames -----------------------------------------------------------------
+
+inline constexpr std::size_t kFrameHeaderBytes = 8;  // u32 len + u32 crc
+// Bound on one payload.  wal_frame refuses anything larger, and the reader
+// rejects a larger length before trusting it (no giant allocation).
+inline constexpr std::uint32_t kMaxFramePayload = 1u << 16;
 
 enum class FsyncPolicy {
   kNever,        // never fsync: a machine crash may lose the entire WAL
@@ -71,15 +94,54 @@ enum class FsyncPolicy {
 // case).  Frames are variable-length on disk — the varint codec makes a
 // typical one a third of this — but the staging ring still uses fixed
 // slots of this stride, trading a little idle RAM for an indexable ring.
-inline constexpr std::size_t kMaxWalFrameBytes = 8 + kMaxStoreRecordBytes;
+inline constexpr std::size_t kMaxWalFrameBytes =
+    kFrameHeaderBytes + kMaxStoreRecordBytes;
 
 // Builds one frame around `payload`.
 std::vector<std::uint8_t> wal_frame(const std::vector<std::uint8_t>& payload);
 
 // Zero-allocation framing: writes the 8-byte header + payload into `out`,
-// which must have room for `len + 8` bytes.
+// which must have room for `len + 8` bytes.  `payload` may already sit at
+// `out + 8` (encoded in place).
 void wal_frame_into(const std::uint8_t* payload, std::uint32_t len,
                     std::uint8_t* out);
+
+// Judges each CRC-valid payload, in file order; false (a payload the
+// caller cannot decode) ends the valid prefix at that frame.
+using FramePayloadFn =
+    std::function<bool(const std::uint8_t* payload, std::uint32_t len)>;
+
+struct FrameScan {
+  std::uint64_t frames = 0;       // frames in the longest valid prefix
+  std::uint64_t valid_bytes = 0;  // byte length of that prefix
+  std::uint64_t file_bytes = 0;   // bytes read (0 for a missing file)
+  bool tail_nonzero = false;      // a NONZERO byte past the prefix
+};
+
+// The longest-valid-prefix scan every frame file is read with: reads `fd`
+// from its current offset to EOF (no whole-file slurp: frames are parsed
+// out of a bounded carry buffer as chunks arrive) and stops at the first
+// frame that is short, out of range, CRC-mismatched or refused by
+// `on_payload`.  `max_read_chunk` > 0 caps the bytes asked of each read(2),
+// exercising the partial-read loop (the kShortRead storage fault).
+FrameScan scan_frames(int fd, std::size_t max_read_chunk,
+                      const FramePayloadFn& on_payload);
+
+// scan_frames over the file at `path`; a missing file reads as empty.
+FrameScan read_frame_file(const std::string& path, std::size_t max_read_chunk,
+                          const FramePayloadFn& on_payload);
+
+// The one truncate-to-prefix repair: scans `path` and cuts it back to its
+// longest valid frame prefix if anything follows it, fdatasync'ing the cut
+// when `sync` is set.  A missing file is a no-op.  Returns the scan.
+// Throws InvariantViolation if the file cannot be cut.
+FrameScan repair_frame_file(const std::string& path,
+                            const FramePayloadFn& on_payload,
+                            bool sync = false);
+
+// A FramePayloadFn that accepts exactly the payloads decode_record does,
+// appending each record to `out`.
+FramePayloadFn collect_records(std::vector<StoreRecord>& out);
 
 struct WalReadResult {
   std::vector<StoreRecord> records;  // decoded longest valid prefix
@@ -91,10 +153,8 @@ struct WalReadResult {
                                      // preallocated segment's zero tail
 };
 
-// Tolerant streaming scan of one WAL file (no whole-file slurp: frames are
-// parsed out of a bounded carry buffer as chunks arrive).  A missing file
-// reads as empty.  `max_read_chunk` > 0 caps the bytes returned per read(2)
-// call, exercising the partial-read loop (the kShortRead storage fault).
+// Tolerant scan of one WAL file (read_frame_file with decode_record).  A
+// missing file reads as empty.
 WalReadResult read_wal_file(const std::string& path,
                             std::size_t max_read_chunk = 0);
 
@@ -145,7 +205,9 @@ struct WalCommitTicket {
   std::unique_lock<std::mutex> lock;  // the writer's drain mutex
   std::vector<int> fds;               // need fdatasync (empty if failing)
   bool pending = false;               // there was staged or unsynced work
-  bool sync_failing = false;          // scripted kSyncFail window active
+  // No barrier lands this round: a scripted kSyncFail window (set by
+  // start_commit) or a barrier that reported failure (set by the caller).
+  bool sync_failing = false;
   std::uint64_t target_frames = 0;    // synced watermark if the barrier lands
   std::uint64_t target_bytes = 0;
 };
@@ -172,14 +234,16 @@ class WalWriter {
   std::uint64_t append(const StoreRecord& r);
 
   // Drain + policy-independent barrier for everything appended.  Returns
-  // true iff there was pending (staged or unsynced) work.  A no-op barrier
-  // (counted in sync_failures) while a scripted kSyncFail window is active.
+  // true iff there was pending (staged or unsynced) work.  A barrier that
+  // does not land — a scripted kSyncFail window, or fdatasync reporting an
+  // error — is counted in sync_failures and advances nothing.
   bool commit();
   void sync() { commit(); }  // legacy name
 
   // Two-phase commit for the batched group-commit round; see
   // WalCommitTicket.  finish_commit must be called exactly once per ticket
-  // with pending == true.
+  // with pending == true; a ticket whose barrier failed keeps the synced
+  // watermark and the sealed fds for the next round.
   WalCommitTicket start_commit();
   void finish_commit(WalCommitTicket& t);
 
@@ -244,14 +308,16 @@ class WalWriter {
     std::uint64_t data = 0;   // live data bytes in this segment
   };
 
-  void open_fresh_tail_locked();  // drain_mu_ held
-  void open_next_segment_locked();
+  void open_next_segment_locked();  // drain_mu_ held
   void seal_active_locked();
   // Writes `frames` ring slots starting at monotonic slot counter `from`
   // to the active segment, rotating as capacity runs out.  drain_mu_ held.
   void write_ring_frames_locked(std::uint64_t from, std::uint64_t frames);
   void drain_locked();   // drain_mu_ held
   bool commit_locked();  // drain_mu_ held, ring already drained
+  bool pending_locked() const;
+  // Settles a barrier round covering (bytes, frames); drain_mu_ held.
+  void settle_locked(bool synced, std::uint64_t bytes, std::uint64_t frames);
   std::uint8_t* ring_slot(std::uint64_t i) {
     // ring_frames is checked to be a power of two at construction, so the
     // wrap is a mask, not a division — this sits on the per-append path.

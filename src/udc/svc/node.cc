@@ -60,20 +60,6 @@ int run_svc_node(const SvcNodeOptions& opts) {
   LamportClock& clock = shell.clock();
   Reactor& reactor = shell.reactor();
 
-  // --- durable state --------------------------------------------------------
-  std::set<ActionId> my_inits;
-  std::vector<ActionId> wal_do_order;  // kDo replay order = apply order
-  for (const Event& e : shell.mirror()) {
-    if (e.kind == EventKind::kInit) my_inits.insert(e.action);
-    if (e.kind == EventKind::kDo) wal_do_order.push_back(e.action);
-  }
-
-  const std::string slog_path =
-      opts.dir + "/svc-" + std::to_string(opts.id) + ".log";
-  const std::vector<SvcBatch> slog_recovered =
-      SvcDurableLog::recover(slog_path);
-  SvcDurableLog slog(slog_path);
-
   // --- service state --------------------------------------------------------
   ReplicatedLog log;
   SessionTable sessions;
@@ -144,56 +130,71 @@ int run_svc_node(const SvcNodeOptions& opts) {
   };
 
   // --- recovery: rebuild the replicated state machine -----------------------
-  // Last record per action wins: the highest-term acceptance, the only one
-  // the cluster can have committed (svclog.h).
-  std::map<ActionId, SvcBatch> by_action;
-  for (const SvcBatch& b : slog_recovered) by_action[b.action] = b;
+  // The recovered records and the WAL's kInit/kDo index live only in this
+  // block: once the replica is rebuilt, the log and the session table hold
+  // everything the loop needs.
+  const std::string slog_path =
+      opts.dir + "/svc-" + std::to_string(opts.id) + ".log";
+  {
+    std::set<ActionId> my_inits;
+    std::vector<ActionId> wal_do_order;  // kDo replay order = apply order
+    for (const Event& e : shell.mirror()) {
+      if (e.kind == EventKind::kInit) my_inits.insert(e.action);
+      if (e.kind == EventKind::kDo) wal_do_order.push_back(e.action);
+    }
+    // Last record per action wins: the highest-term acceptance, the only
+    // one the cluster can have committed (svclog.h).
+    std::map<ActionId, SvcBatch> by_action;
+    for (SvcBatch& b : SvcDurableLog::recover(slog_path)) {
+      max_term_seen = std::max(max_term_seen, b.term);
+      by_action[b.action] = std::move(b);
+    }
 
-  // Replay applies in durable kDo order: an ack preceded every apply, so a
-  // durable kDo is always backed by a durable service-log record.
-  for (ActionId a : wal_do_order) {
-    auto it = by_action.find(a);
-    UDC_CHECK(it != by_action.end(),
-              "svc node: durable kDo without a service-log record");
-    const SvcBatch& b = it->second;
-    log.accept(b);
-    log.mark_committed(b.slot);
-    max_committed_slot = std::max(max_committed_slot, b.slot);
-    apply_ops(b);
-    log.mark_applied(b.slot);
-  }
-  // Remaining records are accepted-but-unapplied: hold them for adoption /
-  // catch-up.  An own-owned batch whose kInit the WAL lost is re-recorded
-  // here — safe, because the durable-send gate means its content never left
-  // this process (no other replica can hold a kDo for it), so the fresh
-  // tick still precedes every eventual kDo.  A batch whose slot the replay
-  // committed to different content goes to the orphan stash instead of the
-  // log: it still carries init obligations, and adoption re-homes it.
-  for (const auto& [a, b] : by_action) {
-    if (log.slot_of(a)) continue;
-    std::size_t gate = 0;
-    if (action_owner(a) == opts.id && my_inits.count(a) == 0) {
-      my_inits.insert(a);
-      shell.record(Event::init(a));
-      gate = shell.mirror_len();
+    // Replay applies in durable kDo order: an ack preceded every apply, so
+    // a durable kDo is always backed by a durable service-log record.
+    for (ActionId a : wal_do_order) {
+      auto it = by_action.find(a);
+      UDC_CHECK(it != by_action.end(),
+                "svc node: durable kDo without a service-log record");
+      const SvcBatch& b = it->second;
+      log.accept(b);
+      log.mark_committed(b.slot);
+      max_committed_slot = std::max(max_committed_slot, b.slot);
+      apply_ops(b);
+      log.mark_applied(b.slot);
     }
-    if (!log.accept(b)) {
-      orphans.emplace(a, std::make_pair(b, gate));
-      continue;
+    // Remaining records are accepted-but-unapplied: hold them for adoption
+    // / catch-up.  An own-owned batch whose kInit the WAL lost is
+    // re-recorded here — safe, because the durable-send gate means its
+    // content never left this process (no other replica can hold a kDo for
+    // it), so the fresh tick still precedes every eventual kDo.  A batch
+    // whose slot the replay committed to different content goes to the
+    // orphan stash instead of the log: it still carries init obligations,
+    // and adoption re-homes it.
+    for (const auto& [a, b] : by_action) {
+      if (log.slot_of(a)) continue;
+      std::size_t gate = 0;
+      if (action_owner(a) == opts.id && my_inits.count(a) == 0) {
+        my_inits.insert(a);
+        shell.record(Event::init(a));
+        gate = shell.mirror_len();
+      }
+      if (!log.accept(b)) {
+        orphans.emplace(a, std::make_pair(b, gate));
+        continue;
+      }
+      if (gate != 0) seal_gate[b.slot] = gate;
     }
-    if (gate != 0) seal_gate[b.slot] = gate;
+    for (ActionId a : my_inits) {
+      if (action_owner(a) == opts.id) {
+        admission_seq = std::max(admission_seq, (a & kMaxActionSeq) + 1);
+      }
+    }
   }
   next_slot = log.max_slot() + 1;
   commit_floor_learned = log.applied_floor();
-  for (const SvcBatch& b : slog_recovered) {
-    max_term_seen = std::max(max_term_seen, b.term);
-  }
   term = max_term_seen;
-  for (ActionId a : my_inits) {
-    if (action_owner(a) == opts.id) {
-      admission_seq = std::max(admission_seq, (a & kMaxActionSeq) + 1);
-    }
-  }
+  SvcDurableLog slog(slog_path);
 
   // --- failure detection, lease, admission budget ---------------------------
   HeartbeatDetector detector(opts.n, opts.id, kLiveHeartbeat, clock.now());
@@ -271,7 +272,6 @@ int run_svc_node(const SvcNodeOptions& opts) {
     b.action = make_action(opts.id, admission_seq++);
     b.ops = std::move(ops);
     shell.record(Event::init(b.action));
-    my_inits.insert(b.action);
     seal_gate[slot] = shell.mirror_len();
     // The WAL barrier for the kInit runs on the flusher thread while this
     // thread fdatasyncs the service log below; pump_unsent joins it.

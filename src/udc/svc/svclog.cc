@@ -7,11 +7,21 @@
 #include <cstring>
 
 #include "udc/common/check.h"
-#include "udc/net/wire.h"
-#include "udc/store/crc32.h"
 #include "udc/store/wal.h"
 
 namespace udc {
+
+namespace {
+
+FramePayloadFn collect_batches(std::vector<SvcBatch>& out) {
+  return [&out](const std::uint8_t* payload, std::uint32_t len) {
+    auto b = decode_svc_batch(payload, len);
+    if (b) out.push_back(std::move(*b));
+    return b.has_value();
+  };
+}
+
+}  // namespace
 
 SvcDurableLog::SvcDurableLog(std::string path) : path_(std::move(path)) {
   fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
@@ -25,95 +35,27 @@ SvcDurableLog::~SvcDurableLog() {
 }
 
 void SvcDurableLog::append(const SvcBatch& b) {
-  std::vector<std::uint8_t> payload;
-  put_svc_batch(payload, b);
-  auto frame = wal_frame(payload);
-  std::size_t off = 0;
-  while (off < frame.size()) {
-    ssize_t w = ::write(fd_, frame.data() + off, frame.size() - off);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw InvariantViolation("svclog: write failed: " +
-                               std::string(std::strerror(errno)));
-    }
-    off += static_cast<std::size_t>(w);
-  }
-  UDC_CHECK(::fdatasync(fd_) == 0, "svclog: fdatasync failed");
+  // The batch is encoded straight behind the frame header's room.
+  std::vector<std::uint8_t> frame(kFrameHeaderBytes);
+  put_svc_batch(frame, b);
+  wal_frame_into(frame.data() + kFrameHeaderBytes,
+                 static_cast<std::uint32_t>(frame.size() - kFrameHeaderBytes),
+                 frame.data());
+  write_all(fd_, frame.data(), frame.size(), -1, path_);
+  UDC_CHECK(datasync(fd_) == 0, "svclog: fdatasync failed");
   ++appended_;
 }
 
-namespace {
-
-struct ScanResult {
-  std::vector<SvcBatch> entries;
-  std::uint64_t valid_bytes = 0;
-  std::uint64_t file_bytes = 0;
-};
-
-ScanResult scan_log(const std::string& path) {
-  ScanResult res;
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return res;  // missing log = empty log
-  std::vector<std::uint8_t> data;
-  std::uint8_t buf[64 * 1024];
-  for (;;) {
-    ssize_t r = ::read(fd, buf, sizeof(buf));
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (r == 0) break;
-    data.insert(data.end(), buf, buf + r);
-  }
-  ::close(fd);
-  res.file_bytes = data.size();
-  // Longest valid frame prefix: stop at the first frame whose header,
-  // length, or checksum does not hold (a torn tail, not corruption to
-  // resync past — this file has exactly one writer).
-  std::size_t pos = 0;
-  while (data.size() - pos >= 8) {
-    const std::uint8_t* p = data.data() + pos;
-    std::uint32_t len = static_cast<std::uint32_t>(p[0]) |
-                        (static_cast<std::uint32_t>(p[1]) << 8) |
-                        (static_cast<std::uint32_t>(p[2]) << 16) |
-                        (static_cast<std::uint32_t>(p[3]) << 24);
-    std::uint32_t want = static_cast<std::uint32_t>(p[4]) |
-                         (static_cast<std::uint32_t>(p[5]) << 8) |
-                         (static_cast<std::uint32_t>(p[6]) << 16) |
-                         (static_cast<std::uint32_t>(p[7]) << 24);
-    if (len == 0 || len > kMaxWirePayload || data.size() - pos - 8 < len) {
-      break;
-    }
-    std::uint32_t crc = crc32c(p, 4);
-    crc = crc32c(p + 8, len, crc);
-    if (crc != want) break;
-    auto b = decode_svc_batch(p + 8, len);
-    if (!b) break;
-    res.entries.push_back(std::move(*b));
-    pos += 8 + len;
-  }
-  res.valid_bytes = pos;
-  return res;
-}
-
-}  // namespace
-
 std::vector<SvcBatch> SvcDurableLog::read(const std::string& path) {
-  return scan_log(path).entries;
+  std::vector<SvcBatch> out;
+  read_frame_file(path, 0, collect_batches(out));
+  return out;
 }
 
 std::vector<SvcBatch> SvcDurableLog::recover(const std::string& path) {
-  ScanResult res = scan_log(path);
-  if (res.valid_bytes < res.file_bytes) {
-    int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
-    if (fd >= 0) {
-      if (::ftruncate(fd, static_cast<off_t>(res.valid_bytes)) == 0) {
-        ::fdatasync(fd);
-      }
-      ::close(fd);
-    }
-  }
-  return std::move(res.entries);
+  std::vector<SvcBatch> out;
+  repair_frame_file(path, collect_batches(out), /*sync=*/true);
+  return out;
 }
 
 }  // namespace udc

@@ -7,9 +7,10 @@
 // a committed batch stands on.
 //
 // Framing is the store WAL's: [u32le len][u32le crc32c(len||payload)]
-// [payload], built by wal_frame(); the payload is the batch encoding the
-// propose envelope embeds (put_svc_batch), so the frame a follower accepted
-// and the record it persisted can never drift apart.  Recovery reads the
+// [payload], built by wal_frame_into() and read back by the WAL's frame
+// scan (store/wal.h); the payload is the batch encoding the propose
+// envelope embeds (put_svc_batch), so the frame a follower accepted and
+// the record it persisted can never drift apart.  Recovery reads the
 // longest valid frame prefix — a torn tail from a kill mid-append costs
 // exactly the unacked record being written.
 //
@@ -52,9 +53,10 @@ class SvcDurableLog {
   // times; the caller keeps the last).  A missing file reads as empty.
   static std::vector<SvcBatch> read(const std::string& path);
 
-  // read() plus truncation to the valid prefix — what recovery must use
-  // before re-opening for append: a torn tail left in place would hide
-  // every frame appended after it from the next read.
+  // read() plus truncation to the valid prefix (fdatasync'd) — what
+  // recovery must use before re-opening for append: a torn tail left in
+  // place would hide every frame appended after it from the next read.
+  // Throws InvariantViolation if the tail cannot be cut.
   static std::vector<SvcBatch> recover(const std::string& path);
 
  private:

@@ -2,66 +2,11 @@
 
 #include <cstdint>
 
+#include "udc/common/bytes.h"
+
 namespace udc {
 
 namespace {
-
-// Same varint/zigzag discipline as net/wire and store/codec: every read
-// fails cleanly at the buffer's end, decode rejects trailing bytes.
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-std::uint64_t zigzag(std::int64_t v) {
-  return (static_cast<std::uint64_t>(v) << 1) ^
-         static_cast<std::uint64_t>(v >> 63);
-}
-std::int64_t unzigzag(std::uint64_t v) {
-  return static_cast<std::int64_t>(v >> 1) ^
-         -static_cast<std::int64_t>(v & 1);
-}
-
-void put_zigzag(std::vector<std::uint8_t>& out, std::int64_t v) {
-  put_varint(out, zigzag(v));
-}
-
-struct Cursor {
-  const std::uint8_t* d;
-  std::size_t len;
-  std::size_t pos = 0;
-  bool fail = false;
-
-  std::uint64_t varint() {
-    std::uint64_t v = 0;
-    int shift = 0;
-    while (pos < len && shift < 64) {
-      std::uint8_t b = d[pos++];
-      v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-      if ((b & 0x80) == 0) return v;
-      shift += 7;
-    }
-    fail = true;  // ran off the buffer or overlong encoding
-    return 0;
-  }
-  std::int64_t zig() { return unzigzag(varint()); }
-  std::int32_t zig32() {
-    std::int64_t v = zig();
-    if (v < INT32_MIN || v > INT32_MAX) fail = true;
-    return static_cast<std::int32_t>(v);
-  }
-  std::uint8_t byte() {
-    if (pos >= len) {
-      fail = true;
-      return 0;
-    }
-    return d[pos++];
-  }
-  bool done() const { return !fail && pos == len; }
-};
 
 // Element-count sanity caps: a corrupted count must fail decode, not drive
 // a giant reserve.  All are generous multiples of what a frame under
@@ -78,7 +23,7 @@ void put_op(std::vector<std::uint8_t>& out, const SvcOp& op) {
   put_zigzag(out, op.value);
 }
 
-std::optional<SvcOp> get_op(Cursor& c) {
+std::optional<SvcOp> get_op(ByteCursor& c) {
   SvcOp op;
   op.session = c.varint();
   op.seq = c.varint();
@@ -94,7 +39,7 @@ std::optional<SvcOp> get_op(Cursor& c) {
   return op;
 }
 
-std::optional<SvcBatch> get_batch(Cursor& c) {
+std::optional<SvcBatch> get_batch(ByteCursor& c) {
   SvcBatch b;
   b.slot = c.varint();
   b.term = c.varint();
@@ -123,7 +68,7 @@ void put_svc_batch(std::vector<std::uint8_t>& out, const SvcBatch& b) {
 
 std::optional<SvcBatch> decode_svc_batch(const std::uint8_t* d,
                                          std::size_t len) {
-  Cursor c{d, len};
+  ByteCursor c{d, len};
   auto b = get_batch(c);
   if (!b || !c.done()) return std::nullopt;
   return b;
@@ -137,7 +82,7 @@ std::vector<std::uint8_t> encode_svc_request(const SvcRequest& r) {
 
 std::optional<SvcRequest> decode_svc_request(const std::uint8_t* d,
                                              std::size_t len) {
-  Cursor c{d, len};
+  ByteCursor c{d, len};
   SvcRequest r;
   auto op = get_op(c);
   if (!op || !c.done()) return std::nullopt;
@@ -159,7 +104,7 @@ std::vector<std::uint8_t> encode_svc_reply(const SvcReply& r) {
 
 std::optional<SvcReply> decode_svc_reply(const std::uint8_t* d,
                                          std::size_t len) {
-  Cursor c{d, len};
+  ByteCursor c{d, len};
   SvcReply r;
   r.session = c.varint();
   r.seq = c.varint();
@@ -189,7 +134,7 @@ std::vector<std::uint8_t> encode_svc_propose(const SvcPropose& p) {
 
 std::optional<SvcPropose> decode_svc_propose(const std::uint8_t* d,
                                              std::size_t len) {
-  Cursor c{d, len};
+  ByteCursor c{d, len};
   SvcPropose p;
   p.term = c.varint();
   p.clock = c.zig();
@@ -209,7 +154,7 @@ std::vector<std::uint8_t> encode_svc_ack(const SvcAck& a) {
 }
 
 std::optional<SvcAck> decode_svc_ack(const std::uint8_t* d, std::size_t len) {
-  Cursor c{d, len};
+  ByteCursor c{d, len};
   SvcAck a;
   a.term = c.varint();
   a.slot = c.varint();
@@ -233,7 +178,7 @@ std::vector<std::uint8_t> encode_svc_commit(const SvcCommit& m) {
 
 std::optional<SvcCommit> decode_svc_commit(const std::uint8_t* d,
                                            std::size_t len) {
-  Cursor c{d, len};
+  ByteCursor c{d, len};
   SvcCommit m;
   m.term = c.varint();
   m.clock = c.zig();
@@ -256,7 +201,7 @@ std::vector<std::uint8_t> encode_svc_hb(const SvcHb& h) {
 }
 
 std::optional<SvcHb> decode_svc_hb(const std::uint8_t* d, std::size_t len) {
-  Cursor c{d, len};
+  ByteCursor c{d, len};
   SvcHb h;
   h.term = c.varint();
   h.leader = c.zig32();
@@ -276,7 +221,7 @@ std::vector<std::uint8_t> encode_svc_sync_req(const SvcSyncReq& r) {
 
 std::optional<SvcSyncReq> decode_svc_sync_req(const std::uint8_t* d,
                                               std::size_t len) {
-  Cursor c{d, len};
+  ByteCursor c{d, len};
   SvcSyncReq r;
   r.term = c.varint();
   r.clock = c.zig();
@@ -301,7 +246,7 @@ std::vector<std::uint8_t> encode_svc_sync_resp(const SvcSyncResp& r) {
 
 std::optional<SvcSyncResp> decode_svc_sync_resp(const std::uint8_t* d,
                                                 std::size_t len) {
-  Cursor c{d, len};
+  ByteCursor c{d, len};
   SvcSyncResp r;
   r.term = c.varint();
   r.clock = c.zig();
@@ -347,7 +292,7 @@ std::vector<std::uint8_t> encode_svc_status(const SvcNodeStatus& s) {
 
 std::optional<SvcNodeStatus> decode_svc_status(const std::uint8_t* d,
                                                std::size_t len) {
-  Cursor c{d, len};
+  ByteCursor c{d, len};
   SvcNodeStatus s;
   s.id = c.zig32();
   s.epoch = c.varint();

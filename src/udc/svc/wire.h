@@ -7,7 +7,8 @@
 // model events — that is what keeps the paper-side ordering honest: a
 // batch's kInit (recorded at the admitting leader when the batch seals) is
 // causally below every kDo it produces, at every replica, in the merged
-// run the checkers see.  Decode is total: nullopt on truncation, trailing
+// run the checkers see.  Integers use the shared byte codec
+// (common/bytes.h); decode is total: nullopt on truncation, trailing
 // bytes, or out-of-range tags, exactly like net/wire.
 #pragma once
 

@@ -18,6 +18,7 @@
 #include "udc/chaos/registry.h"
 #include "udc/chaos/witness.h"
 #include "udc/common/guarded_main.h"
+#include "udc/common/parse_num.h"
 
 namespace {
 
@@ -65,7 +66,7 @@ struct Options {
   std::exit(2);
 }
 
-Options parse(int argc, char** argv) {
+Options parse(int argc, char** argv) try {
   Options o;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -83,35 +84,35 @@ Options parse(int argc, char** argv) {
     } else if (eat("--detector=", &v)) {
       o.scenario.detector = v;
     } else if (eat("--n=", &v)) {
-      o.scenario.n = std::stoi(v);
+      o.scenario.n = parse_int(v, "--n");
     } else if (eat("--t=", &v)) {
-      o.scenario.t = std::stoi(v);
+      o.scenario.t = parse_int(v, "--t");
     } else if (eat("--horizon=", &v)) {
-      o.scenario.horizon = std::stoll(v);
+      o.scenario.horizon = parse_i64(v, "--horizon");
     } else if (eat("--grace=", &v)) {
-      o.scenario.grace = std::stoll(v);
+      o.scenario.grace = parse_i64(v, "--grace");
     } else if (eat("--drop=", &v)) {
-      o.scenario.drop = std::stod(v);
+      o.scenario.drop = parse_f64(v, "--drop");
     } else if (eat("--seed=", &v)) {
-      o.scenario.seed = std::stoull(v);
+      o.scenario.seed = parse_u64(v, "--seed");
     } else if (eat("--spec=", &v)) {
       o.scenario.spec = chaos_spec_by_name(v);
     } else if (eat("--iterations=", &v)) {
-      o.iterations = std::stoi(v);
+      o.iterations = parse_int(v, "--iterations");
     } else if (eat("--search-seed=", &v)) {
-      o.search_seed = std::stoull(v);
+      o.search_seed = parse_u64(v, "--search-seed");
     } else if (eat("--max-crashes=", &v)) {
-      o.gen.max_crashes = std::stoi(v);
+      o.gen.max_crashes = parse_int(v, "--max-crashes");
     } else if (eat("--max-partitions=", &v)) {
-      o.gen.max_partitions = std::stoi(v);
+      o.gen.max_partitions = parse_int(v, "--max-partitions");
     } else if (eat("--max-silences=", &v)) {
-      o.gen.max_silences = std::stoi(v);
+      o.gen.max_silences = parse_int(v, "--max-silences");
     } else if (eat("--max-bursts=", &v)) {
-      o.gen.max_bursts = std::stoi(v);
+      o.gen.max_bursts = parse_int(v, "--max-bursts");
     } else if (eat("--max-lies=", &v)) {
-      o.gen.max_lies = std::stoi(v);
+      o.gen.max_lies = parse_int(v, "--max-lies");
     } else if (eat("--deadline-ms=", &v)) {
-      o.deadline_ms = std::stoll(v);
+      o.deadline_ms = parse_i64(v, "--deadline-ms");
     } else if (eat("--out=", &v)) {
       o.out = v;
     } else if (arg == "--no-shrink") {
@@ -126,6 +127,9 @@ Options parse(int argc, char** argv) {
     }
   }
   return o;
+} catch (const InvariantViolation& e) {
+  std::fprintf(stderr, "udc_chaos: error: %s\n", e.what());
+  usage();
 }
 
 // Runs one search (+ shrink, + witness write); returns true iff a witness

@@ -16,6 +16,7 @@
 
 #include "udc/chaos/registry.h"
 #include "udc/common/guarded_main.h"
+#include "udc/common/parse_num.h"
 #include "udc/coord/metrics.h"
 #include "udc/coord/spec.h"
 #include "udc/event/trace.h"
@@ -75,7 +76,7 @@ struct Options {
   std::exit(2);
 }
 
-Options parse(int argc, char** argv) {
+Options parse(int argc, char** argv) try {
   Options o;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -89,17 +90,17 @@ Options parse(int argc, char** argv) {
     };
     std::string v;
     if (eat("--n=", &v)) {
-      o.n = std::stoi(v);
+      o.n = parse_int(v, "--n");
     } else if (eat("--horizon=", &v)) {
-      o.horizon = std::stoll(v);
+      o.horizon = parse_i64(v, "--horizon");
     } else if (eat("--drop=", &v)) {
-      o.drop = std::stod(v);
+      o.drop = parse_f64(v, "--drop");
     } else if (eat("--seed=", &v)) {
-      o.seed = std::stoull(v);
+      o.seed = parse_u64(v, "--seed");
     } else if (eat("--t=", &v)) {
-      o.t = std::stoi(v);
+      o.t = parse_int(v, "--t");
     } else if (eat("--actions=", &v)) {
-      o.actions = std::stoi(v);
+      o.actions = parse_int(v, "--actions");
     } else if (eat("--crash=", &v)) {
       o.crash = v;
     } else if (eat("--detector=", &v)) {
@@ -129,9 +130,12 @@ Options parse(int argc, char** argv) {
   }
   if (o.t < 0) o.t = o.n - 1;
   return o;
+} catch (const InvariantViolation& e) {
+  std::fprintf(stderr, "udc_explore: error: %s\n", e.what());
+  usage();
 }
 
-CrashPlan parse_crash(const Options& o) {
+CrashPlan parse_crash(const Options& o) try {
   std::vector<std::pair<ProcessId, Time>> crashes;
   std::string spec = o.crash;
   while (!spec.empty()) {
@@ -140,10 +144,13 @@ CrashPlan parse_crash(const Options& o) {
     spec = comma == std::string::npos ? "" : spec.substr(comma + 1);
     auto at = item.find('@');
     if (at == std::string::npos) usage();
-    crashes.emplace_back(std::stoi(item.substr(0, at)),
-                         std::stoll(item.substr(at + 1)));
+    crashes.emplace_back(parse_int(item.substr(0, at), "--crash process"),
+                         parse_i64(item.substr(at + 1), "--crash time"));
   }
   return make_crash_plan(o.n, std::move(crashes));
+} catch (const InvariantViolation& e) {
+  std::fprintf(stderr, "udc_explore: error: %s\n", e.what());
+  usage();
 }
 
 }  // namespace

@@ -31,6 +31,7 @@
 
 #include "udc/chaos/fault_script.h"
 #include "udc/common/guarded_main.h"
+#include "udc/common/parse_num.h"
 #include "udc/coord/action.h"
 #include "udc/rt/remote/fleet.h"
 #include "udc/rt/remote/watchdog.h"
@@ -70,7 +71,7 @@ struct Options {
   std::exit(2);
 }
 
-Options parse(int argc, char** argv) {
+Options parse(int argc, char** argv) try {
   Options o;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -84,17 +85,17 @@ Options parse(int argc, char** argv) {
     };
     std::string v;
     if (eat("--runs=", &v)) {
-      o.runs = std::stoi(v);
+      o.runs = parse_int(v, "--runs");
     } else if (eat("--n=", &v)) {
-      o.n = std::stoi(v);
+      o.n = parse_int(v, "--n");
     } else if (eat("--t=", &v)) {
-      o.t = std::stoi(v);
+      o.t = parse_int(v, "--t");
     } else if (eat("--drop=", &v)) {
-      o.drop = std::stod(v);
+      o.drop = parse_f64(v, "--drop");
     } else if (eat("--seed=", &v)) {
-      o.seed = std::stoull(v);
+      o.seed = parse_u64(v, "--seed");
     } else if (eat("--deadline-ms=", &v)) {
-      o.deadline_ms = std::stoll(v);
+      o.deadline_ms = parse_i64(v, "--deadline-ms");
     } else if (eat("--dir=", &v)) {
       o.dir = v;
     } else if (eat("--node=", &v)) {
@@ -118,6 +119,9 @@ Options parse(int argc, char** argv) {
     usage();
   }
   return o;
+} catch (const InvariantViolation& e) {
+  std::fprintf(stderr, "udc_mp_soak: error: %s\n", e.what());
+  usage();
 }
 
 // The four soak arms.  Crashes ride the supervisor (SIGKILL); everything

@@ -28,6 +28,7 @@
 
 #include "udc/chaos/fault_script.h"
 #include "udc/common/guarded_main.h"
+#include "udc/common/parse_num.h"
 #include "udc/coord/action.h"
 #include "udc/rt/runtime.h"
 
@@ -63,7 +64,7 @@ struct Options {
   std::exit(2);
 }
 
-Options parse(int argc, char** argv) {
+Options parse(int argc, char** argv) try {
   Options o;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -82,19 +83,19 @@ Options parse(int argc, char** argv) {
     };
     std::string v;
     if (value("--runs", &v)) {
-      o.runs = std::stoi(v);
+      o.runs = parse_int(v, "--runs");
     } else if (value("--n", &v)) {
-      o.n = std::stoi(v);
+      o.n = parse_int(v, "--n");
     } else if (value("--t", &v)) {
-      o.t = std::stoi(v);
+      o.t = parse_int(v, "--t");
     } else if (value("--actions", &v)) {
-      o.actions_per_process = std::stoi(v);
+      o.actions_per_process = parse_int(v, "--actions");
     } else if (value("--drop", &v)) {
-      o.drop = std::stod(v);
+      o.drop = parse_f64(v, "--drop");
     } else if (value("--seed", &v)) {
-      o.seed = std::stoull(v);
+      o.seed = parse_u64(v, "--seed");
     } else if (value("--deadline-ms", &v)) {
-      o.deadline_ms = std::stoll(v);
+      o.deadline_ms = parse_i64(v, "--deadline-ms");
     } else if (value("--dir", &v)) {
       o.dir = v;
     } else if (arg == "--keep") {
@@ -115,6 +116,9 @@ Options parse(int argc, char** argv) {
     usage();
   }
   return o;
+} catch (const InvariantViolation& e) {
+  std::fprintf(stderr, "udc_recovery_soak: error: %s\n", e.what());
+  usage();
 }
 
 const char* fault_name(StorageFault::Kind k) {

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "udc/common/guarded_main.h"
+#include "udc/common/parse_num.h"
 #include "udc/rt/remote/watchdog.h"
 #include "udc/svc/fleet.h"
 
@@ -64,7 +65,7 @@ struct LoadPoint {
   std::exit(2);
 }
 
-Options parse(int argc, char** argv) {
+Options parse(int argc, char** argv) try {
   Options o;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -78,17 +79,17 @@ Options parse(int argc, char** argv) {
     };
     std::string v;
     if (eat("--n=", &v)) {
-      o.n = std::stoi(v);
+      o.n = parse_int(v, "--n");
     } else if (eat("--clients=", &v)) {
-      o.clients = std::stoi(v);
+      o.clients = parse_int(v, "--clients");
     } else if (eat("--ops=", &v)) {
-      o.ops = std::stoi(v);
+      o.ops = parse_int(v, "--ops");
     } else if (eat("--mean-us=", &v)) {
-      o.mean_us = std::stod(v);
+      o.mean_us = parse_f64(v, "--mean-us");
     } else if (eat("--seed=", &v)) {
-      o.seed = std::stoull(v);
+      o.seed = parse_u64(v, "--seed");
     } else if (eat("--deadline-ms=", &v)) {
-      o.deadline_ms = std::stoll(v);
+      o.deadline_ms = parse_i64(v, "--deadline-ms");
     } else if (eat("--dir=", &v)) {
       o.dir = v;
     } else if (eat("--node=", &v)) {
@@ -108,6 +109,9 @@ Options parse(int argc, char** argv) {
     usage();
   }
   return o;
+} catch (const InvariantViolation& e) {
+  std::fprintf(stderr, "udc_svc_load: error: %s\n", e.what());
+  usage();
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include <string>
 
 #include "udc/common/guarded_main.h"
+#include "udc/common/parse_num.h"
 #include "udc/rt/remote/watchdog.h"
 #include "udc/svc/fleet.h"
 
@@ -57,7 +58,7 @@ struct Options {
   std::exit(2);
 }
 
-Options parse(int argc, char** argv) {
+Options parse(int argc, char** argv) try {
   Options o;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -71,13 +72,13 @@ Options parse(int argc, char** argv) {
     };
     std::string v;
     if (eat("--runs=", &v)) {
-      o.runs = std::stoi(v);
+      o.runs = parse_int(v, "--runs");
     } else if (eat("--n=", &v)) {
-      o.n = std::stoi(v);
+      o.n = parse_int(v, "--n");
     } else if (eat("--seed=", &v)) {
-      o.seed = std::stoull(v);
+      o.seed = parse_u64(v, "--seed");
     } else if (eat("--deadline-ms=", &v)) {
-      o.deadline_ms = std::stoll(v);
+      o.deadline_ms = parse_i64(v, "--deadline-ms");
     } else if (eat("--dir=", &v)) {
       o.dir = v;
     } else if (eat("--node=", &v)) {
@@ -98,6 +99,9 @@ Options parse(int argc, char** argv) {
     usage();
   }
   return o;
+} catch (const InvariantViolation& e) {
+  std::fprintf(stderr, "udc_svc_soak: error: %s\n", e.what());
+  usage();
 }
 
 }  // namespace
