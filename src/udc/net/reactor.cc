@@ -12,7 +12,6 @@
 #include <cstring>
 
 #include "udc/common/check.h"
-#include "udc/net/io.h"
 
 namespace udc {
 
@@ -39,6 +38,10 @@ std::uint64_t epoll_key(int fd, std::uint32_t gen) {
   return (static_cast<std::uint64_t>(gen) << 32) |
          static_cast<std::uint32_t>(fd);
 }
+
+// The reactor whose loop runs on this thread: its callbacks' sends, made
+// with io_mu_ already held, must take the queue.
+thread_local const Reactor* tl_loop_owner = nullptr;
 
 }  // namespace
 
@@ -135,6 +138,7 @@ bool Reactor::send(ProcessId peer, FrameType type,
     routable = it != established_.end() && it->second;
     if (!routable) ++counters_.send_unroutable;
   }
+  if (routable && send_inline(peer, type, payload)) return true;
   Command c;
   c.kind = Command::Kind::kSend;
   c.peer = peer;
@@ -147,6 +151,39 @@ bool Reactor::send(ProcessId peer, FrameType type,
   std::uint64_t one = 1;
   [[maybe_unused]] auto r = ::write(wake_fd_, &one, sizeof(one));
   return routable;
+}
+
+bool Reactor::send_inline(ProcessId peer, FrameType type,
+                          const std::vector<std::uint8_t>& payload) {
+  if (tl_loop_owner == this || (type == FrameType::kData && shim_)) {
+    return false;
+  }
+  std::unique_lock<std::mutex> io(io_mu_, std::try_to_lock);
+  if (!io.owns_lock()) return false;
+  {
+    std::lock_guard<std::mutex> lk(cmd_mu_);
+    if (!commands_.empty()) return false;
+  }
+  Conn* c = established_conn(peer);
+  if (c == nullptr || !c->outbuf.empty()) return false;
+  if (queue_frame(*c, type, payload.data(), payload.size())) {
+    std::lock_guard<std::mutex> lk(state_mu_);
+    ++counters_.frames_tx_inline;
+  }
+  // A short write or a write error: the reactor thread flushes the rest
+  // on EPOLLOUT, or closes the stream when its write (or EPOLLHUP) fails.
+  if (write_out(*c) != IoStatus::kOk) arm(*c, /*want_write=*/true);
+  return true;
+}
+
+Reactor::Conn* Reactor::established_conn(ProcessId peer) {
+  auto pit = peers_.find(peer);
+  if (pit == peers_.end() || pit->second.fd < 0) return nullptr;
+  auto cit = conns_.find(pit->second.fd);
+  if (cit == conns_.end() || cit->second.state != ConnState::kEstablished) {
+    return nullptr;
+  }
+  return &cit->second;
 }
 
 bool Reactor::peer_established(ProcessId peer) const {
@@ -170,6 +207,7 @@ void Reactor::stop() {
 }
 
 void Reactor::loop() {
+  tl_loop_owner = this;
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   while (!stopping_.load()) {
@@ -178,6 +216,7 @@ void Reactor::loop() {
       if (errno == EINTR) continue;
       break;  // epoll itself broke: nothing sane left to do
     }
+    std::lock_guard<std::mutex> io(io_mu_);
     for (int i = 0; i < k; ++i) {
       const std::uint64_t key = events[i].data.u64;
       const int fd = static_cast<int>(key & 0xffffffffu);
@@ -212,7 +251,9 @@ void Reactor::loop() {
     timers(std::chrono::steady_clock::now());
   }
   // Shutdown: close every stream (peers learn via EOF or keepalive).
+  std::lock_guard<std::mutex> io(io_mu_);
   while (!conns_.empty()) close_conn(conns_.begin()->first, /*notify=*/false);
+  tl_loop_owner = nullptr;
 }
 
 void Reactor::run_commands() {
@@ -260,12 +301,8 @@ void Reactor::run_commands() {
 
 void Reactor::do_send(ProcessId peer, FrameType type,
                       const std::vector<std::uint8_t>& payload) {
-  auto pit = peers_.find(peer);
-  if (pit == peers_.end() || pit->second.fd < 0) return;
-  auto cit = conns_.find(pit->second.fd);
-  if (cit == conns_.end() || cit->second.state != ConnState::kEstablished) {
-    return;
-  }
+  Conn* c = established_conn(peer);
+  if (c == nullptr) return;
   if (type == FrameType::kData && shim_) {
     WireFrame probe;
     probe.type = type;
@@ -276,8 +313,8 @@ void Reactor::do_send(ProcessId peer, FrameType type,
       return;
     }
   }
-  queue_frame(cit->second, type, payload.data(), payload.size());
-  flush_conn(cit->first);
+  queue_frame(*c, type, payload.data(), payload.size());
+  flush_conn(c->fd);
 }
 
 void Reactor::dial(ProcessId peer) {
@@ -310,6 +347,7 @@ void Reactor::dial(ProcessId peer) {
   c.gen = ++conn_gen_;
   c.state = ConnState::kConnecting;
   c.dialed = true;
+  c.write_armed = true;  // connect() completion arrives as EPOLLOUT
   c.peer = peer;
   c.last_rx = std::chrono::steady_clock::now();
   const std::uint32_t gen = c.gen;
@@ -542,43 +580,47 @@ void Reactor::close_conn(int fd, bool notify) {
   }
 }
 
-void Reactor::queue_frame(Conn& c, FrameType type, const std::uint8_t* payload,
+bool Reactor::queue_frame(Conn& c, FrameType type, const std::uint8_t* payload,
                           std::size_t len) {
-  auto frame = encode_frame(type, payload, len);
-  if (c.outbuf.size() - c.out_pos + frame.size() > opts_.max_outbuf_bytes) {
+  const std::size_t bytes = kWireHeaderBytes + len;
+  if (c.outbuf.size() - c.out_pos + bytes > opts_.max_outbuf_bytes) {
     // Backlog cap: drop at the wire; ARQ retries will re-teach.
     std::lock_guard<std::mutex> lk(state_mu_);
     ++counters_.send_unroutable;
-    return;
+    return false;
   }
-  c.outbuf.insert(c.outbuf.end(), frame.begin(), frame.end());
-  {
-    std::lock_guard<std::mutex> lk(state_mu_);
-    ++counters_.frames_tx;
-    counters_.bytes_tx += frame.size();
+  append_frame(&c.outbuf, type, payload, len);
+  std::lock_guard<std::mutex> lk(state_mu_);
+  ++counters_.frames_tx;
+  counters_.bytes_tx += bytes;
+  return true;
+}
+
+// Writes as much of the backlog as the socket takes now; kOk once empty.
+IoStatus Reactor::write_out(Conn& c) {
+  while (c.out_pos < c.outbuf.size()) {
+    IoResult r = write_some(c.fd, c.outbuf.data() + c.out_pos,
+                            c.outbuf.size() - c.out_pos);
+    if (!r.ok()) return r.status;
+    c.out_pos += r.bytes;
   }
+  c.outbuf.clear();
+  c.out_pos = 0;
+  return IoStatus::kOk;
 }
 
 void Reactor::flush_conn(int fd) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
   Conn& c = it->second;
-  while (c.out_pos < c.outbuf.size()) {
-    IoResult r =
-        write_some(fd, c.outbuf.data() + c.out_pos, c.outbuf.size() - c.out_pos);
-    if (r.status == IoStatus::kWouldBlock) {
-      arm(fd, /*want_write=*/true);
-      return;
-    }
-    if (!r.ok()) {
-      close_conn(fd, /*notify=*/true);
-      return;
-    }
-    c.out_pos += r.bytes;
+  const IoStatus s = write_out(c);
+  if (s == IoStatus::kWouldBlock) {
+    arm(c, /*want_write=*/true);
+  } else if (s != IoStatus::kOk) {
+    close_conn(fd, /*notify=*/true);
+  } else if (c.state != ConnState::kConnecting) {
+    arm(c, /*want_write=*/false);
   }
-  c.outbuf.clear();
-  c.out_pos = 0;
-  if (c.state != ConnState::kConnecting) arm(fd, /*want_write=*/false);
 }
 
 void Reactor::timers(std::chrono::steady_clock::time_point now) {
@@ -637,13 +679,13 @@ void Reactor::timers(std::chrono::steady_clock::time_point now) {
   }
 }
 
-void Reactor::arm(int fd, bool want_write) {
-  auto it = conns_.find(fd);
-  if (it == conns_.end()) return;
+void Reactor::arm(Conn& c, bool want_write) {
+  if (c.write_armed == want_write) return;
+  c.write_armed = want_write;
   epoll_event ev{};
   ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-  ev.data.u64 = epoll_key(fd, it->second.gen);
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
+  ev.data.u64 = epoll_key(c.fd, c.gen);
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c.fd, &ev);
 }
 
 }  // namespace udc

@@ -38,10 +38,21 @@
 // the peer's handshake while open — a partition is a dead wire, not a
 // polite flag.
 //
-// Threading: all socket I/O and all callbacks run on the reactor's own
-// thread.  Public methods are thread-safe commands handed over via an
-// eventfd-woken queue; callbacks must not call back into the reactor
-// synchronously except via those same thread-safe methods.
+// Threading: `on_frame`, `on_peer` and the shim run only on the reactor's
+// own thread, which holds `io_mu_` (the lock over every stream) for each
+// loop iteration but never across epoll_wait.  Public methods are
+// thread-safe.  set_endpoint/set_refuse and most sends are commands handed
+// over through an eventfd-woken queue.  A send from another thread writes
+// the frame itself, on the caller's thread, when the stream is idle: it
+// wins io_mu_ with try_lock (a caller may hold a lock that a callback
+// takes, so it never waits), the peer is established with nothing left in
+// its write buffer, no command of any kind is queued (so a frame never
+// overtakes an earlier command from the same thread), and no shim applies
+// to it.  Such a send never closes a stream: a short write leaves the rest
+// for the reactor thread to flush, and a write error is left for it to
+// find, so callbacks still fire only on the reactor thread.  Callbacks
+// must not call back into the reactor except through the public methods;
+// their sends always take the queue.
 #pragma once
 
 #include <atomic>
@@ -58,6 +69,7 @@
 #include "udc/common/rng.h"
 #include "udc/common/types.h"
 #include "udc/net/backoff.h"
+#include "udc/net/io.h"
 #include "udc/net/wire.h"
 
 namespace udc {
@@ -89,6 +101,7 @@ struct WireCounters {
   std::uint64_t accepts = 0;           // inbound accept(2)s
   std::uint64_t handshake_rejects = 0; // hellos bounced (mismatch/refused)
   std::uint64_t frames_tx = 0;
+  std::uint64_t frames_tx_inline = 0;  // of frames_tx: written by the caller
   std::uint64_t frames_rx = 0;
   std::uint64_t bytes_tx = 0;
   std::uint64_t bytes_rx = 0;
@@ -145,9 +158,11 @@ class Reactor {
   // rejected, and outbound dials are suppressed.  Thread-safe.
   void set_refuse(ProcessId peer, bool refuse);
 
-  // Queues one frame to `peer`.  Returns false (and counts) if the peer has
-  // no established stream or the write backlog is full — the caller's ARQ
-  // treats that exactly like wire loss.  Thread-safe.
+  // Sends one frame to `peer`: written on the calling thread when the
+  // stream is idle (see Threading), queued for the reactor thread
+  // otherwise.  Returns false (and counts) if the peer has no established
+  // stream — the caller's ARQ treats that exactly like wire loss, as it
+  // does a frame dropped later for a full write backlog.  Thread-safe.
   bool send(ProcessId peer, FrameType type,
             std::vector<std::uint8_t> payload);
 
@@ -174,6 +189,7 @@ class Reactor {
     std::uint64_t resync_seen = 0;  // delta-folding into WireCounters
     std::vector<std::uint8_t> outbuf;
     std::size_t out_pos = 0;
+    bool write_armed = false;  // EPOLLOUT in this fd's epoll interest
     std::chrono::steady_clock::time_point last_rx;
     int pings_unanswered = 0;  // consecutive probes with no bytes back
   };
@@ -198,6 +214,9 @@ class Reactor {
 
   void loop();
   void run_commands();
+  bool send_inline(ProcessId peer, FrameType type,
+                   const std::vector<std::uint8_t>& payload);
+  Conn* established_conn(ProcessId peer);
   void do_send(ProcessId peer, FrameType type,
                const std::vector<std::uint8_t>& payload);
   void dial(ProcessId peer);
@@ -208,11 +227,14 @@ class Reactor {
   void establish(int fd, ProcessId peer, std::uint64_t epoch,
                  std::uint16_t data_port);
   void close_conn(int fd, bool notify);
-  void queue_frame(Conn& c, FrameType type, const std::uint8_t* payload,
+  // Appends one frame to c's write buffer; false (counted as unroutable)
+  // when the backlog cap drops it.
+  bool queue_frame(Conn& c, FrameType type, const std::uint8_t* payload,
                    std::size_t len);
+  IoStatus write_out(Conn& c);
   void flush_conn(int fd);
   void timers(std::chrono::steady_clock::time_point now);
-  void arm(int fd, bool want_write);
+  void arm(Conn& c, bool want_write);
 
   ReactorOptions opts_;
   FrameFn on_frame_;
@@ -224,6 +246,10 @@ class Reactor {
   int listen_fd_ = -1;
   Rng rng_;
 
+  // Held by the reactor thread for each loop iteration, and by a caller
+  // writing an idle stream itself (try_lock only).  Lock order: io_mu_,
+  // then cmd_mu_ or state_mu_.
+  std::mutex io_mu_;
   std::map<int, Conn> conns_;
   std::map<ProcessId, Peer> peers_;
   std::uint32_t conn_gen_ = 0;  // next connection generation stamp

@@ -9,23 +9,23 @@
 
 namespace udc {
 
-std::vector<std::uint8_t> encode_frame(FrameType type,
-                                       const std::uint8_t* payload,
-                                       std::size_t len) {
+void append_frame(std::vector<std::uint8_t>* out, FrameType type,
+                  const std::uint8_t* payload, std::size_t len) {
   UDC_CHECK(len <= kMaxWirePayload, "wire frame payload exceeds the cap");
-  std::vector<std::uint8_t> out(kWireHeaderBytes + len);
-  out[0] = kWireMagic0;
-  out[1] = kWireMagic1;
-  out[2] = kWireVersion;
-  out[3] = static_cast<std::uint8_t>(type);
-  store_u32le(out.data() + 4, static_cast<std::uint32_t>(len));
-  if (len > 0) std::memcpy(out.data() + kWireHeaderBytes, payload, len);
+  const std::size_t at = out->size();
+  out->resize(at + kWireHeaderBytes + len);
+  std::uint8_t* f = out->data() + at;
+  f[0] = kWireMagic0;
+  f[1] = kWireMagic1;
+  f[2] = kWireVersion;
+  f[3] = static_cast<std::uint8_t>(type);
+  store_u32le(f + 4, static_cast<std::uint32_t>(len));
+  if (len > 0) std::memcpy(f + kWireHeaderBytes, payload, len);
   // CRC over version, type, length AND payload: a flipped length or type
   // can never pass, and the payload needs no second checksum.
-  std::uint32_t crc = crc32c(out.data() + 2, 6);
+  std::uint32_t crc = crc32c(f + 2, 6);
   crc = crc32c(payload, len, crc);
-  store_u32le(out.data() + 8, crc);
-  return out;
+  store_u32le(f + 8, crc);
 }
 
 void FrameDecoder::feed(const std::uint8_t* data, std::size_t len) {

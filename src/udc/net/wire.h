@@ -82,14 +82,16 @@ struct WireFrame {
   std::vector<std::uint8_t> payload;
 };
 
-// Builds one encoded frame (header + payload).  Throws InvariantViolation
-// if payload exceeds kMaxWirePayload — oversize is a caller bug, not input.
-std::vector<std::uint8_t> encode_frame(FrameType type,
-                                       const std::uint8_t* payload,
-                                       std::size_t len);
+// Appends one encoded frame (header + payload) to `out`.  Throws
+// InvariantViolation if payload exceeds kMaxWirePayload — oversize is a
+// caller bug, not input.
+void append_frame(std::vector<std::uint8_t>* out, FrameType type,
+                  const std::uint8_t* payload, std::size_t len);
 inline std::vector<std::uint8_t> encode_frame(
     FrameType type, const std::vector<std::uint8_t>& payload) {
-  return encode_frame(type, payload.data(), payload.size());
+  std::vector<std::uint8_t> out;
+  append_frame(&out, type, payload.data(), payload.size());
+  return out;
 }
 
 struct WireDecodeCounters {

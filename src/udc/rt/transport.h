@@ -156,7 +156,7 @@ class RtTransport {
     Time send_tick = 0;
     std::uint64_t wire_seq = 0;  // per-ordered-channel, monotone from 1
     int attempt = 0;             // attempts made so far
-    std::chrono::steady_clock::time_point next_at;  // backoff deadline
+    std::chrono::steady_clock::time_point next_at{};  // backoff deadline
   };
 
   enum class OpKind { kDeliver, kRetryScan, kAckFlush };

@@ -251,7 +251,7 @@ int run_svc_node(const SvcNodeOptions& opts) {
     const SvcLogEntry* e = log.entry(slot);
     if (!e || e->applied) return;
     shell.record(Event::do_action(e->batch.action));
-    apply_ops(SvcBatch(e->batch));  // copy: replies may resize the map
+    apply_ops(e->batch);
     if (log.mark_applied(slot)) ++svcc.svc_ooo_commits;
   };
 
@@ -271,12 +271,19 @@ int run_svc_node(const SvcNodeOptions& opts) {
     b.term = term;
     b.action = make_action(opts.id, admission_seq++);
     b.ops = std::move(ops);
+    // The batch's record is written before its kInit enters the WAL ring.
+    // In the other order a kill could land after the flusher wrote the
+    // kInit and before this thread wrote the record: recovery then held a
+    // durable kInit whose batch no disk had, which no replica could ever
+    // perform (DC1).  A kill between the two now leaves a record without
+    // its kInit, which recovery re-records.  The fdatasyncs still overlap:
+    // the WAL barrier for the kInit runs on the flusher thread while this
+    // thread syncs the service log; pump_unsent joins it.
+    slog.write(b);
     shell.record(Event::init(b.action));
     seal_gate[slot] = shell.mirror_len();
-    // The WAL barrier for the kInit runs on the flusher thread while this
-    // thread fdatasyncs the service log below; pump_unsent joins it.
     committer.kick();
-    slog.append(b);
+    slog.sync();
     UDC_CHECK(log.accept(b), "svc node: own seal refused");
     log.ack(slot, opts.id);
     unsent.push_back(slot);

@@ -34,7 +34,7 @@ SvcDurableLog::~SvcDurableLog() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void SvcDurableLog::append(const SvcBatch& b) {
+void SvcDurableLog::write(const SvcBatch& b) {
   // The batch is encoded straight behind the frame header's room.
   std::vector<std::uint8_t> frame(kFrameHeaderBytes);
   put_svc_batch(frame, b);
@@ -42,8 +42,11 @@ void SvcDurableLog::append(const SvcBatch& b) {
                  static_cast<std::uint32_t>(frame.size() - kFrameHeaderBytes),
                  frame.data());
   write_all(fd_, frame.data(), frame.size(), -1, path_);
-  UDC_CHECK(datasync(fd_) == 0, "svclog: fdatasync failed");
   ++appended_;
+}
+
+void SvcDurableLog::sync() {
+  UDC_CHECK(datasync(fd_) == 0, "svclog: fdatasync failed");
 }
 
 std::vector<SvcBatch> SvcDurableLog::read(const std::string& path) {

@@ -43,7 +43,16 @@ class SvcDurableLog {
 
   // Durably appends one accepted/sealed batch: the call returns only after
   // fdatasync, so a subsequent ack or propose is backed by the disk.
-  void append(const SvcBatch& b);
+  void append(const SvcBatch& b) {
+    write(b);
+    sync();
+  }
+
+  // The two halves of append.  After write() returns, a killed process can
+  // no longer lose the record (it sits in the page cache); after sync() it
+  // survives the machine too.  Throws InvariantViolation on failure.
+  void write(const SvcBatch& b);
+  void sync();
 
   std::uint64_t appended() const { return appended_; }
   const std::string& path() const { return path_; }

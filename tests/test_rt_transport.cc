@@ -31,6 +31,12 @@ Message app_msg(std::int64_t tag) {
   return m;
 }
 
+Message heartbeat_msg() {
+  Message m;
+  m.kind = MsgKind::kHeartbeat;
+  return m;
+}
+
 // Thread-safe delivery sink; processes listed in `down` refuse messages
 // (the transport must keep their sends pending, like a crashed worker).
 struct Sink {
@@ -190,7 +196,7 @@ TEST(RtTransport, HeartbeatsAreFireAndForget) {
   Sink sink;
   RtTransport lossy(2, fast_opts(), std::make_shared<IidDropPolicy>(1.0),
                     /*seed=*/1, [] { return Time{0}; }, sink.fn());
-  lossy.send_heartbeat(0, 1, Message{MsgKind::kHeartbeat});
+  lossy.send_heartbeat(0, 1, heartbeat_msg());
   // The drop is resolved synchronously, and nothing is pending afterwards:
   // no retry will ever resurrect a lost heartbeat.
   RuntimeCounters c = lossy.counters();
@@ -202,7 +208,7 @@ TEST(RtTransport, HeartbeatsAreFireAndForget) {
   Sink sink2;
   RtTransport clean(2, fast_opts(), std::make_shared<IidDropPolicy>(0.0),
                     /*seed=*/1, [] { return Time{0}; }, sink2.fn());
-  clean.send_heartbeat(0, 1, Message{MsgKind::kHeartbeat});
+  clean.send_heartbeat(0, 1, heartbeat_msg());
   EXPECT_TRUE(wait_for([&] { return sink2.count() == 1; },
                        milliseconds(5'000)));
   EXPECT_EQ(clean.counters().retransmits, 0u);
@@ -217,7 +223,7 @@ TEST(RtTransport, StopIsIdempotentAndSendsAfterStopAreNoOps) {
   tr.stop();
   std::size_t sends_at_stop = tr.counters().sends;
   tr.send(0, 1, app_msg(8));
-  tr.send_heartbeat(0, 1, Message{MsgKind::kHeartbeat});
+  tr.send_heartbeat(0, 1, heartbeat_msg());
   EXPECT_EQ(tr.counters().sends, sends_at_stop);
   EXPECT_EQ(tr.counters().heartbeats, 0u);
 }

@@ -105,6 +105,19 @@ TEST(SvcDurableLog, AppendsReadBackInOrderIncludingAReacceptedAction) {
   EXPECT_EQ(SvcDurableLog::recover(path), want);
 }
 
+TEST(SvcDurableLog, AWrittenRecordReadsBackBeforeItsSync) {
+  // A leader's seal writes the batch's record, then its kInit, then syncs:
+  // once write() returns, a kill of the process can no longer lose the
+  // record, so no recovered kInit is ever left without its batch.
+  const std::string path = fresh_log("write_then_sync");
+  SvcDurableLog log(path);
+  for (const SvcBatch& b : sample_batches()) log.write(b);
+  EXPECT_EQ(SvcDurableLog::read(path), sample_batches());
+  log.sync();
+  EXPECT_EQ(log.appended(), sample_batches().size());
+  EXPECT_EQ(SvcDurableLog::recover(path), sample_batches());
+}
+
 TEST(SvcDurableLog, MissingFileReadsAsEmpty) {
   const std::string path = fresh_log("missing");
   EXPECT_TRUE(SvcDurableLog::read(path).empty());

@@ -83,11 +83,10 @@ TEST(WireFrame, EmptyPayloadAndSingleByteFeedsDecode) {
 
 TEST(WireFrame, OversizePayloadIsACallerBug) {
   std::vector<std::uint8_t> big(kMaxWirePayload + 1, 0);
-  EXPECT_THROW(encode_frame(FrameType::kData, big.data(), big.size()),
-               InvariantViolation);
+  EXPECT_THROW(encode_frame(FrameType::kData, big), InvariantViolation);
   // At the cap itself it must succeed: the bound is inclusive.
   std::vector<std::uint8_t> cap(kMaxWirePayload, 0);
-  EXPECT_NO_THROW(encode_frame(FrameType::kData, cap.data(), cap.size()));
+  EXPECT_NO_THROW(encode_frame(FrameType::kData, cap));
 }
 
 // --- truncation -----------------------------------------------------------

@@ -2,7 +2,7 @@
 // scenario (or the known † cells of Table 1) hunting DC1–DC3 violations,
 // then shrink the witness and optionally write it as a replayable file.
 //
-//   build/tools/udc_chaos --protocol=majority --detector=none --n=5 --t=2 \
+//   build/tools/udc_chaos --protocol=majority --detector=none --n=5 --t=2
 //       --iterations=64 --out=w.witness
 //   build/tools/udc_chaos --table1          # sweep the necessity cells
 //
