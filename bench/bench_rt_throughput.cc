@@ -2,20 +2,17 @@
 //
 // Every observable event a live worker produces funnels through
 // TraceRecorder::record and, when durability is on, through the process's
-// WAL.  This suite measures that funnel end to end and pins the PR's three
-// claims against the PR-3/PR-4 baselines, which are kept in-tree precisely
-// so the comparison never goes stale:
+// WAL.  This suite measures that funnel end to end; the serial recorder is
+// kept in-tree as the baseline the sharded one is measured against:
 //
 //   * BM_Record{Serial,Sharded}        — n workers hammering the recorder
 //     (no disk): the single global mutex vs the per-process shards stamped
 //     from one atomic clock.  Workers follow the real record-then-send /
 //     receive-then-record discipline so every lifted run passes R1-R4.
-//   * BM_Durable{InlineFsync,InlineFsyncEvery8,GroupCommit} — the same
-//     workload with each event mirrored into its ProcessStore WAL.  The
-//     inline policies pay the fsync barrier on the append path (kAlways =
-//     strict per-event durability, kEveryN/8 = the PR-4 runtime default);
-//     group commit moves the barrier onto the GroupCommitter's flusher
-//     thread and the workers never wait on the disk.
+//   * BM_DurableGroupCommit            — the same workload on the sharded
+//     recorder, with each event mirrored into the shipping ProcessStore
+//     (StoreOptions{}) and the GroupCommitter's flusher pool paying the
+//     barriers, so the workers never wait on the disk.
 //   * BM_Lift{Serial,Sharded}          — latency of lift() on a prefilled
 //     recorder: the sharded merge must not give back what recording won.
 //
@@ -181,58 +178,6 @@ fs::path bench_dir() {
   return d;
 }
 
-template <class Recorder>
-void durable_throughput(benchmark::State& state, const StoreOptions& opts,
-                        bool group_commit) {
-  const int n = static_cast<int>(state.range(0));
-  const int sends = static_cast<int>(state.range(1));
-  std::size_t events = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    const fs::path dir = bench_dir();
-    std::vector<std::unique_ptr<ProcessStore>> stores;
-    for (ProcessId p = 0; p < n; ++p) {
-      stores.push_back(std::make_unique<ProcessStore>(
-          dir.string(), p, opts, std::vector<StorageFault>{}));
-    }
-    BenchSink sink(stores);
-    Recorder rec(n, &sink);
-    // Same wiring as run_live: the committer takes its engine from the
-    // store options so the measured pipeline is the shipping one.
-    GroupCommitter committer(GroupCommitOptions{opts.flusher_threads});
-    if (group_commit) {
-      for (auto& s : stores) committer.attach(s.get());
-    }
-    state.ResumeTiming();
-    events += drive(rec, n, sends);
-    // The tail flush is part of the price of the batched mode; the inline
-    // modes already paid at append time.
-    if (group_commit) committer.stop();
-  }
-  set_row(state, n, events);
-}
-
-StoreOptions inline_opts(FsyncPolicy policy, int every) {
-  StoreOptions o;
-  o.fsync = policy;
-  o.fsync_every = every;
-  return o;
-}
-
-StoreOptions group_opts() {
-  // The shipping runtime configuration (rt_default_store_options):
-  // segmented WAL, ring-staged appends, batched barrier rounds through the
-  // pinned flusher pool (see the engine note in store/sync_barrier.h).
-  StoreOptions o;
-  o.group_commit = true;
-  o.segment_bytes = 256 * 1024;
-  o.ring_frames = 4096;
-  o.commit_every = 1024;
-  o.commit_interval = std::chrono::microseconds{5'000};
-  o.snapshot_every = 1024;
-  return o;
-}
-
 // Settle the writeback and journal debt the PREVIOUS benchmark left
 // behind so each durable row measures its own configuration, not its
 // predecessor's backlog.  sync() alone is not enough: jbd2 keeps
@@ -244,30 +189,29 @@ void settle_disk(const benchmark::State&) {
   std::this_thread::sleep_for(std::chrono::seconds(2));
 }
 
-// The strictest inline baseline: serial recorder, fsync on every append.
-void BM_DurableInlineFsync(benchmark::State& state) {
-  durable_throughput<SerialTraceRecorder>(
-      state, inline_opts(FsyncPolicy::kEveryAppend, 1),
-      /*group_commit=*/false);
-}
-// The PR-4 shipping configuration: serial recorder, fsync every 8 frames.
-void BM_DurableInlineFsyncEvery8(benchmark::State& state) {
-  durable_throughput<SerialTraceRecorder>(
-      state, inline_opts(FsyncPolicy::kEveryN, 8), /*group_commit=*/false);
-}
-// This PR's configuration: sharded recorder, WAL group commit.
+// The shipping durable path, wired as run_live wires it.
 void BM_DurableGroupCommit(benchmark::State& state) {
-  durable_throughput<TraceRecorder>(state, group_opts(),
-                                    /*group_commit=*/true);
+  const int n = static_cast<int>(state.range(0));
+  const int sends = static_cast<int>(state.range(1));
+  std::size_t events = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const fs::path dir = bench_dir();
+    std::vector<std::unique_ptr<ProcessStore>> stores;
+    for (ProcessId p = 0; p < n; ++p) {
+      stores.push_back(std::make_unique<ProcessStore>(
+          dir.string(), p, StoreOptions{}, std::vector<StorageFault>{}));
+    }
+    BenchSink sink(stores);
+    TraceRecorder rec(n, &sink);
+    GroupCommitter committer;
+    for (auto& s : stores) committer.attach(s.get());
+    state.ResumeTiming();
+    events += drive(rec, n, sends);
+    committer.stop();  // the tail flush is part of the price
+  }
+  set_row(state, n, events);
 }
-BENCHMARK(BM_DurableInlineFsync)
-    ->Args({2, 250})->Args({4, 250})->Args({8, 250})
-    ->Setup(settle_disk)
-    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime();
-BENCHMARK(BM_DurableInlineFsyncEvery8)
-    ->Args({2, 250})->Args({4, 250})->Args({8, 250})->Args({4, 1'000})
-    ->Setup(settle_disk)
-    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime();
 BENCHMARK(BM_DurableGroupCommit)
     ->Args({2, 250})->Args({4, 250})->Args({8, 250})->Args({4, 1'000})
     ->Setup(settle_disk)

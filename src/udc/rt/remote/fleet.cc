@@ -210,7 +210,7 @@ FleetVerdict run_fleet(const FleetOptions& opts) {
     if (done) break;
   }
 
-  FleetOutcome out = sup.finish(mp_store_options());
+  FleetOutcome out = sup.finish();
   FleetVerdict v;
   v.status = status;
   v.clean_exits = out.clean_exits;

@@ -237,7 +237,6 @@ NodeShell::NodeShell(const NodeIdentity& id, std::uint64_t wire_salt,
       script_(load_fault_script(id.script_file)),
       store_(id.dir, id.id, mp_store_options(), {}),
       clock_(recover_prefix(id.epoch, store_, mirror_)),
-      committer_(GroupCommitOptions{mp_store_options().flusher_threads}),
       refusing_(static_cast<std::size_t>(id.n), false),
       reactor_(
           ReactorOptions{.self = id.id,

@@ -52,13 +52,12 @@
 
 namespace udc {
 
-// Store layout shared by nodes (writing) and the fleet merge (recovering):
-// both sides MUST construct ProcessStore with the same options or recovery
-// reads the wrong layout.  Tighter commit pacing than the in-process
-// default because the durable-send gate puts the group-commit interval on
-// the protocol's critical path.
+// The store options of every node and of the fleet lift that recovers
+// their shards.  Tighter commit pacing than the in-process default because
+// the durable-send gate puts the group-commit interval on the protocol's
+// critical path.
 inline StoreOptions mp_store_options() {
-  StoreOptions s = rt_default_store_options();
+  StoreOptions s;
   s.commit_every = 64;
   s.commit_interval = std::chrono::microseconds{1'000};
   s.snapshot_every = 512;

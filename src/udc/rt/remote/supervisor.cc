@@ -189,7 +189,7 @@ bool FleetProcesses::stop(Reactor& control) {
 // construction, and the clock rider puts each kRecv on a strictly later
 // step than its kSend (recv tick > send tick), so build()'s R3 validation
 // passes iff the durable-send gate held.
-Run FleetProcesses::lift(const StoreOptions& store) const {
+Run FleetProcesses::lift() const {
   struct MergedRecord {
     Time tick = 0;
     ProcessId p = kInvalidProcess;
@@ -198,7 +198,7 @@ Run FleetProcesses::lift(const StoreOptions& store) const {
   };
   std::vector<MergedRecord> merged;
   for (ProcessId p = 0; p < n_; ++p) {
-    ProcessStore shard(run_dir_, p, store, {});
+    ProcessStore shard(run_dir_, p, mp_store_options(), {});
     Time last_tick = 0;
     std::size_t idx = 0;
     for (const StoreRecord& r : shard.recover()) {

@@ -46,7 +46,6 @@
 #include "udc/net/reactor.h"
 #include "udc/net/wire.h"
 #include "udc/rt/remote/node.h"
-#include "udc/store/process_store.h"
 
 namespace udc {
 
@@ -99,7 +98,7 @@ class FleetProcesses {
   void reap_exited();
   // The kStop loop; returns whether every exit was clean.
   bool stop(Reactor& control);
-  Run lift(const StoreOptions& store) const;
+  Run lift() const;
 
   std::size_t crashes() const { return crashes_; }
   std::size_t restarts() const { return restarts_; }
@@ -230,12 +229,12 @@ class FleetSupervisor {
   void relaunch(ProcessId p) { procs_.relaunch(p); }
   void reap_exited() { procs_.reap_exited(); }
 
-  // Stops every node, then lifts the shards (written with `store`).
-  FleetOutcome finish(const StoreOptions& store) {
+  // Stops every node, then lifts the shards.
+  FleetOutcome finish() {
     FleetOutcome out;
     out.clean_exits = procs_.stop(reactor_);
     reactor_.stop();
-    out.run = procs_.lift(store);
+    out.run = procs_.lift();
     {
       std::lock_guard<std::mutex> lk(mu_);
       for (const auto& [key, rc] : counters_by_) out.counters.merge(rc);

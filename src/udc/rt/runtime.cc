@@ -421,12 +421,12 @@ RtVerdict run_live(const RtOptions& opts) {
   Rng fault_rng(opts.seed ^ 0x73746f7265ULL);  // "store"
 
   // Group commit: one flusher amortizes the fsync barriers across all
-  // stores, batching each round through the configured SyncBarrier engine.
-  // Declared after the stores (it holds raw pointers into them) and
-  // stopped explicitly before counters are read.
+  // stores, batching each round through the SyncBarrier pool.  Declared
+  // after the stores (it holds raw pointers into them) and stopped
+  // explicitly before counters are read.
   std::optional<GroupCommitter> committer;
-  if (durable && opts.store.group_commit) {
-    committer.emplace(GroupCommitOptions{opts.store.flusher_threads});
+  if (durable) {
+    committer.emplace();
     for (auto& ps : stores) committer->attach(ps.get());
   }
 

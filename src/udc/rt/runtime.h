@@ -28,9 +28,11 @@
 //     is preserved by construction and re-verified by the checker.
 //   * durable restart (`durable_dir` non-empty) — the write-ahead log moves
 //     to DISK: every recorded event is mirrored into a per-process
-//     store/ProcessStore (CRC-framed WAL + rotated snapshots), scripted
-//     StorageFaults corrupt it at kill time, and the restarted worker
-//     replays snapshot + repaired WAL tail instead of the in-memory trace.
+//     store/ProcessStore (CRC-framed WAL + rotated snapshots, appends
+//     staged and group-committed), scripted StorageFaults corrupt it when
+//     the worker restarts (its store stays open, and committed, until
+//     then), and the restarted worker replays snapshot + repaired WAL
+//     tail instead of the in-memory trace.
 //     Whatever the disk lost is a suffix of the process's history; the
 //     recovery protocol re-learns it: the supervisor re-injects inits the
 //     disk forgot (board vs. log diff), and the restarted worker broadcasts
@@ -60,27 +62,6 @@
 #include "udc/store/process_store.h"
 
 namespace udc {
-
-// StoreOptions for the live runtime: identical to the store default except
-// that group commit is ON (the standalone store tests exercise the inline
-// fsync policies; the runtime's hot path should not pay per-append fsyncs).
-inline StoreOptions rt_default_store_options() {
-  // The shipping durable path (DESIGN.md §11): group commit over a
-  // segmented, preallocated WAL with ring-staged appends.  Appends are two
-  // memcpys into a fixed slot; the committer drains each store with one
-  // gathered write and batches every store's fdatasync through one
-  // SyncBarrier round (the flusher pool: flusher_threads defaults to 4).
-  // commit_every / commit_interval are sized so a saturated store
-  // contributes roughly one barrier round per ~1k events instead of per 32.
-  StoreOptions s;
-  s.group_commit = true;
-  s.segment_bytes = 256 * 1024;
-  s.ring_frames = 4096;
-  s.commit_every = 1024;
-  s.commit_interval = std::chrono::microseconds{5'000};
-  s.snapshot_every = 1024;
-  return s;
-}
 
 // Adds one store's durability tallies to the runtime counters.
 void fold_store_counters(const StoreCounters& s, RuntimeCounters* c);
@@ -126,12 +107,12 @@ struct RtOptions {
   // StorageFaults instead of from the in-memory trace.  Ignored when
   // restartable_crashes is false.
   //
-  // Live runs default to GROUP COMMIT (DESIGN.md §10): appends never fsync
-  // inline; a background flusher batches the barriers, and seal/teardown
-  // force a final flush.  Set store.group_commit = false to get the PR 4
-  // inline-fsync path (the recovery soak cycles both).
+  // Appends never fsync inline: one GroupCommitter batches every store's
+  // barriers (DESIGN.md §10-§11), and seal/teardown force a final flush.
+  // A killed worker's store is closed only when the worker restarts, so
+  // until then the committer keeps syncing what the worker staged.
   std::string durable_dir;
-  StoreOptions store = rt_default_store_options();
+  StoreOptions store;
 
   // Wall-clock envelope.  A budget without a deadline gets
   // `default_deadline` so a wedged live run can never hang the caller;

@@ -6,10 +6,7 @@
 
 namespace udc {
 
-GroupCommitter::GroupCommitter(GroupCommitOptions opts)
-    : barrier_(SyncBarrier::make(opts.flusher_threads)) {
-  flusher_ = std::thread([this] { loop(); });
-}
+GroupCommitter::GroupCommitter() : flusher_([this] { loop(); }) {}
 
 GroupCommitter::~GroupCommitter() { stop(); }
 
@@ -57,14 +54,12 @@ void GroupCommitter::round() {
   // fails the whole round, exactly like a scripted kSyncFail round: each
   // store counts it, keeps its watermark and sealed fds, and retries next
   // round.
-  const bool synced = fds.empty() || barrier_->sync(fds);
+  const bool synced = fds.empty() || barrier_.sync(fds);
   for (StoreCommitTicket& t : tickets) {
     t.wal.sync_failing = t.wal.sync_failing || !synced;
     t.store->finish_commit(t);
   }
 }
-
-void GroupCommitter::flush_all() { round(); }
 
 void GroupCommitter::stop() {
   bool already = false;
@@ -78,7 +73,7 @@ void GroupCommitter::stop() {
   }
   cv_.notify_one();
   if (flusher_.joinable()) flusher_.join();
-  flush_all();  // nothing batched survives shutdown unsynced
+  round();  // nothing batched survives shutdown unsynced
 }
 
 void GroupCommitter::loop() {

@@ -1,44 +1,35 @@
-// Group commit: WAL durability amortized across appends — and, since PR 6,
-// across STORES.
+// Group commit: WAL durability amortized across appends and across stores.
 //
-// PR 4 put an fsync (FsyncPolicy::kEveryAppend / kEveryN) INSIDE the append
-// path, which — because appends run inside the recorder's critical section —
-// made every worker in the system wait out each other's disk barriers.
-// PR 5 moved the barrier off the append path: appends only write(), and one
-// background flusher issued the fsync for a whole BATCH of frames.  But the
-// flusher loop was still serial ACROSS stores — n processes' barriers
-// convoyed, end to end, every round.
-//
-// PR 6 makes the round itself parallel.  A commit round is two-phase:
+// append() never fsyncs: it stages the frame in its store's WAL ring.  A
+// commit round makes every attached store's staged frames durable, in two
+// phases:
 //
 //   1. drain — each store's staged ring is pushed to the kernel with one
-//      pwritev (cheap, microseconds), and the store's WAL hands back the
-//      descriptors that need a barrier while holding its drain lock;
-//   2. barrier — ALL descriptors are fdatasync'd at once through a
-//      SyncBarrier engine (a flusher-thread pool, or serial with one
-//      flusher thread), and only then does each store advance its synced
+//      write per segment (cheap, microseconds), and the store's WAL hands
+//      back the descriptors that need a barrier while holding its drain
+//      lock;
+//   2. barrier — ALL descriptors are fdatasync'd at once through the
+//      SyncBarrier flusher pool, so n stores' barriers overlap instead of
+//      convoying, and only then does each store advance its synced
 //      watermark and bump its group-commit counters.
 //
 // A round fires when a store accumulates `commit_every` unsynced frames
 // (the store kicks the committer early), when `commit_interval` elapses
-// with any frame still unsynced (bounded staleness for quiet stores), or
-// immediately on seal / teardown.  The committer honors the TRUE shortest
-// attached interval — a store asking for a LONGER interval is no longer
-// silently capped at 1ms — and caches it, recomputing only when the
-// attachment set changes.
+// (bounded staleness for quiet stores; idle rounds are free), or at
+// stop().  The committer honors the TRUE shortest attached interval and
+// caches it, recomputing only when the attachment set changes.  Between
+// rounds, ProcessStore::flush() commits one store on the caller's thread.
 //
-// Durability semantics are UNCHANGED in kind: what a crash can lose is
-// still exactly a suffix of the process's history — "since the last group
-// commit", per shard and per segment.  Recovery (repair, snapshot + tail,
-// rejoin beacon, DC2' re-proof) is byte-for-byte the same machinery.
+// What a crash can lose is a suffix of the process's history — "since the
+// last group commit", per shard and per segment.  Recovery (repair,
+// snapshot + tail, rejoin beacon, DC2' re-proof) builds on exactly that.
 //
 // Locking: the committer's own mutex guards the store list and the cached
 // interval; a round holds each store's WAL drain lock from its phase-1
-// drain to its phase-2 watermark update, and takes a store's main mutex
-// only AFTER releasing that store's drain lock (counter updates), so
-// appends never wait out a barrier and the kill path (which takes the
-// store mutex, then closes the WAL under its drain lock) cannot deadlock
-// against a round in flight.
+// drain to its phase-2 watermark update, and never takes a store's main
+// mutex while it does (ProcessStore::finish_commit is mutex-free), so the
+// kill path (which takes the store mutex, then closes the WAL under its
+// drain lock) cannot deadlock against a round in flight.
 #pragma once
 
 #include <atomic>
@@ -46,7 +37,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -57,14 +47,9 @@ namespace udc {
 
 class ProcessStore;
 
-struct GroupCommitOptions {
-  int flusher_threads = 4;  // > 1: pool engine of this size; else serial
-};
-
 class GroupCommitter {
  public:
-  GroupCommitter() : GroupCommitter(GroupCommitOptions{}) {}
-  explicit GroupCommitter(GroupCommitOptions opts);
+  GroupCommitter();
   ~GroupCommitter();  // stop()
 
   GroupCommitter(const GroupCommitter&) = delete;
@@ -78,21 +63,14 @@ class GroupCommitter {
   // Wakes the flusher ahead of schedule (a store hit commit_every).
   void kick();
 
-  // Runs one synchronous commit round over every attached store.
-  void flush_all();
-
-  // Final flush_all, then joins the flusher.  Idempotent.
+  // Joins the flusher, then runs a final commit round.  Idempotent.
   void stop();
-
-  // Which barrier engine the committer resolved to ("pool" or "serial") —
-  // diagnostics and tests.
-  const char* barrier_name() const { return barrier_->name(); }
 
  private:
   void loop();
   void round();
 
-  std::unique_ptr<SyncBarrier> barrier_;
+  SyncBarrier barrier_;
 
   std::mutex mu_;  // guards stores_ and the cached interval
   std::vector<ProcessStore*> stores_;

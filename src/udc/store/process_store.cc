@@ -20,8 +20,7 @@ ProcessStore::ProcessStore(std::string dir, ProcessId p, StoreOptions opts,
                            std::vector<StorageFault> faults)
     : dir_(std::move(dir)), p_(p), opts_(opts), faults_(std::move(faults)) {
   UDC_CHECK(!dir_.empty(), "ProcessStore: empty directory");
-  UDC_CHECK(!opts_.group_commit || opts_.commit_every >= 1,
-            "ProcessStore: group commit needs commit_every >= 1");
+  UDC_CHECK(opts_.commit_every >= 1, "ProcessStore: commit_every < 1");
   mirror_.reserve(std::min<std::size_t>(opts_.snapshot_every * 2, 1 << 16));
   writer_ = make_writer();
 }
@@ -29,17 +28,8 @@ ProcessStore::ProcessStore(std::string dir, ProcessId p, StoreOptions opts,
 ProcessStore::~ProcessStore() = default;
 
 std::shared_ptr<WalWriter> ProcessStore::make_writer() const {
-  // Group commit owns durability: the writer's inline policy is disabled
-  // and every barrier comes from a commit round.  The staging ring is only
-  // safe under group commit (inline policies must stay write-through so a
-  // plain process kill keeps the page-cache tail).
-  WalOptions w;
-  w.fsync = opts_.group_commit ? FsyncPolicy::kNever : opts_.fsync;
-  w.sync_every = opts_.fsync_every;
-  w.segment_bytes = opts_.segment_bytes;
-  w.ring_frames = opts_.group_commit ? opts_.ring_frames : 0;
-  w.preallocate = opts_.segment_bytes > 0;
-  return std::make_shared<WalWriter>(wal_path(), w);
+  return std::make_shared<WalWriter>(
+      wal_path(), WalOptions{opts_.segment_bytes, opts_.ring_frames});
 }
 
 std::string ProcessStore::wal_path() const {
@@ -78,8 +68,7 @@ void ProcessStore::append(Time t, const Event& e) {
     const std::uint64_t unsynced = writer_->append(rec);
     ++counters_.wal_frames_appended;
     ++frames_since_snapshot_;
-    kick = opts_.group_commit &&
-           unsynced >= static_cast<std::uint64_t>(opts_.commit_every);
+    kick = unsynced >= static_cast<std::uint64_t>(opts_.commit_every);
   }
   // Kick outside the store mutex: the committer's flusher takes the WAL
   // drain lock next round, and holding mu_ here would stall the worker
@@ -122,8 +111,8 @@ void ProcessStore::flush() {
     std::lock_guard<std::mutex> lock(mu_);
     writer = writer_;
   }
-  // The writer's own drain + serial barrier, under its drain lock (so it
-  // waits out a round in flight); a barrier that fails is counted there.
+  // The writer's own drain + barrier, under its drain lock (so it waits
+  // out a round in flight); a barrier that fails is counted there.
   if (writer->commit()) group_commits_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -157,24 +146,26 @@ void ProcessStore::apply_kill_faults(Time kill_time, Rng& rng) {
       case StorageFault::Kind::kTornWrite: {
         // The append in flight at the kill instant made it only partway:
         // fabricate a frame and write a strict prefix of it at the active
-        // segment's tail.
+        // segment's tail.  The prefix stops short of the frame's last
+        // nonzero byte: the segment's preallocated zeros would complete a
+        // longer one into a whole, valid frame, which is no tear at all.
         std::uint8_t frame[kMaxWalFrameBytes];
         const std::size_t len = encode_record_into(
             StoreRecord{kill_time, Event::crash()}, frame + kFrameHeaderBytes);
         wal_frame_into(frame + kFrameHeaderBytes,
                        static_cast<std::uint32_t>(len), frame);
-        const std::uint64_t cut =
-            1 + rng.next_below(kFrameHeaderBytes + len - 1);
+        std::size_t last_nonzero = kFrameHeaderBytes + len - 1;
+        // Stops at the latest on the tick's varint: kill_time > 0.
+        while (frame[last_nonzero] == 0) --last_nonzero;
+        const std::uint64_t cut = 1 + rng.next_below(last_nonzero);
         writer_->inject_torn_write(frame, static_cast<std::size_t>(cut));
         ++counters_.storage_faults_injected;
         break;
       }
       case StorageFault::Kind::kTruncate:
-        // Machine-crash semantics: the unsynced page-cache tail is gone.
-        // This is where the durability window shows — inline kEveryAppend
-        // loses nothing, kEveryN at most N-1 frames, group commit at most
-        // one batch per segment.  Staged frames already died in close()
-        // above, so only a write-through tail can be cut here.
+        // Machine-crash semantics: the unsynced page-cache tail is gone —
+        // the frames a full ring drained itself since the last commit.
+        // Staged frames already died in close() above.
         if (writer_->inject_truncate_to_synced()) {
           ++counters_.storage_faults_injected;
         }

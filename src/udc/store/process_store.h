@@ -17,19 +17,16 @@
 // history, which the recovery protocol re-learns via supervisor re-inits
 // and the kRejoin beacon (DESIGN.md §9).
 //
-// Durability modes (DESIGN.md §10-§11): with `group_commit` off, the inline
-// FsyncPolicy decides when append() itself issues the barrier — the PR 4
-// behavior, write-through, single-file.  With `group_commit` on, append()
-// NEVER fsyncs; a GroupCommitter commits the batch every `commit_every`
-// frames or `commit_interval`, and flush() is also forced when the process
-// is sealed.  On top of that, `segment_bytes` > 0 shards the WAL into
-// preallocated fixed-size segments rotated off the append path, and
-// `ring_frames` > 0 stages appends in a fixed-slot ring the committer
-// drains with one gathered write per batch (store/wal.h).  Staged frames
-// live in user memory until the next commit, so in staged mode the loss
-// window of ANY kill — plain process kill or machine-style kTruncate — is
-// exactly "since the last group commit" (plus whatever the snapshot
-// already made durable).
+// Durability (DESIGN.md §10-§11): append() NEVER fsyncs.  It stages the
+// frame in the WAL's fixed-slot ring (store/wal.h); a GroupCommitter
+// drains and barriers the batch once `commit_every` frames are unsynced or
+// `commit_interval` has passed, and flush() commits it at once — on seal,
+// at teardown, and at the service node's durable-send gate.  The WAL is a
+// chain of preallocated `segment_bytes` segments rotated off the append
+// path.  Staged frames live in user memory until the next commit, so the
+// loss window of ANY kill — plain process kill or machine-style kTruncate
+// — is "since the last group commit" (plus whatever the snapshot already
+// made durable); a plain kill keeps the frames a full ring drained itself.
 //
 // Thread-safety: mu_ serializes append / rotate / kill / recover; the
 // commit path holds mu_ only long enough to pin the writer, then drains
@@ -63,21 +60,16 @@ namespace udc {
 class GroupCommitter;
 class ProcessStore;
 
+// The defaults are the shipping store's (run_live's).  Tests shrink the
+// sizes to reach segment rotation, ring self-drain and compaction.
 struct StoreOptions {
-  FsyncPolicy fsync = FsyncPolicy::kEveryN;
-  int fsync_every = 8;              // frames per fsync under kEveryN
-  std::size_t snapshot_every = 128; // WAL frames before compaction
-  // Group commit (overrides the inline fsync policy when true).
-  bool group_commit = false;
-  int commit_every = 32;            // kick the flusher at this many frames
-  std::chrono::microseconds commit_interval{500};  // max batch staleness
-  // Parallel durable-commit pipeline (PR 6).  Defaults keep the legacy
-  // single-file write-through layout so the standalone store tests pin the
-  // PR 4/5 semantics; the live runtime turns all of it on
-  // (rt_default_store_options in rt/runtime.h).
-  std::uint64_t segment_bytes = 0;  // >0: segmented WAL <wal>.seg-NNNNNN
-  std::size_t ring_frames = 0;      // >0 + group_commit: staged appends
-  int flusher_threads = 4;          // committer barrier pool; <= 1: serial
+  std::size_t snapshot_every = 1024;  // WAL frames before compaction
+  // Sized so a saturated store asks for roughly one barrier round per ~1k
+  // events instead of per 32.
+  int commit_every = 1024;  // kick the committer at this many frames
+  std::chrono::microseconds commit_interval{5'000};  // max batch staleness
+  std::uint64_t segment_bytes = 256 * 1024;  // WAL <wal>.seg-NNNNNN size
+  std::size_t ring_frames = 4096;  // staging ring slots, a power of two
 };
 
 struct StoreCounters {
@@ -113,12 +105,12 @@ class ProcessStore {
   ProcessStore& operator=(const ProcessStore&) = delete;
 
   // Durably appends the event recorded at tick t.  kSyncFail windows are
-  // evaluated against t; snapshot rotation happens here too.  Under group
-  // commit the frame is staged or written but not fsynced; the committer
-  // is kicked once commit_every frames are pending.
+  // evaluated against t; snapshot rotation happens here too.  The frame is
+  // staged, not fsynced; the committer is kicked once commit_every frames
+  // are pending.
   void append(Time t, const Event& e);
 
-  // Commits the unsynced WAL tail, if any: drain + serial barrier.  Called
+  // Commits the unsynced WAL tail, if any: drain + barrier.  Called
   // on seal (flush_on_seal), by the service node's durable-send gate, at
   // teardown, and by tests; the committer's batched rounds use
   // start_commit/finish_commit instead.  A round in flight holds the drain

@@ -1,7 +1,6 @@
 #include "udc/store/wal.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -224,8 +223,8 @@ std::vector<std::pair<unsigned, std::string>> list_wal_segments(
 
 WalReadResult read_wal(const std::string& base, std::size_t max_read_chunk) {
   const auto segs = list_wal_segments(base);
-  if (segs.empty()) return read_wal_file(base, max_read_chunk);
   WalReadResult out;
+  if (segs.empty()) return out;
   bool stopped = false;
   unsigned expect = segs.front().first;
   for (const auto& [seq, path] : segs) {
@@ -264,7 +263,6 @@ WalReadResult read_wal(const std::string& base, std::size_t max_read_chunk) {
 
 bool repair_wal(const std::string& base) {
   const auto segs = list_wal_segments(base);
-  if (segs.empty()) return repair_wal_file(base);
   bool cut_nonzero = false;
   bool kill_rest = false;
   unsigned expect = segs.front().first;
@@ -291,58 +289,38 @@ bool repair_wal(const std::string& base) {
 
 WalWriter::WalWriter(std::string path, WalOptions opts)
     : path_(std::move(path)), opts_(opts) {
-  UDC_CHECK(opts_.fsync != FsyncPolicy::kEveryN || opts_.sync_every >= 1,
-            "WalWriter: kEveryN needs sync_every >= 1");
-  UDC_CHECK(opts_.segment_bytes == 0 ||
-                opts_.segment_bytes >= kMaxWalFrameBytes,
+  UDC_CHECK(opts_.segment_bytes >= kMaxWalFrameBytes,
             "WalWriter: segment_bytes must hold at least one frame");
-  UDC_CHECK(opts_.ring_frames == 0 || opts_.fsync == FsyncPolicy::kNever,
-            "WalWriter: staged appends need an external commit driver");
-  UDC_CHECK((opts_.ring_frames & (opts_.ring_frames - 1)) == 0,
+  UDC_CHECK(opts_.ring_frames > 0 &&
+                (opts_.ring_frames & (opts_.ring_frames - 1)) == 0,
             "WalWriter: ring_frames must be a power of two");
-  if (opts_.ring_frames > 0) {
-    ring_.resize(opts_.ring_frames * kMaxWalFrameBytes);
-    scratch_.reserve(opts_.ring_frames * kMaxWalFrameBytes);
-    ring_mask_ = opts_.ring_frames - 1;
-  }
+  ring_.resize(opts_.ring_frames * kMaxWalFrameBytes);
+  scratch_.reserve(opts_.ring_frames * kMaxWalFrameBytes);
+  ring_mask_ = opts_.ring_frames - 1;
 
   std::lock_guard<std::mutex> dl(drain_mu_);
-  if (opts_.segment_bytes == 0) {
-    fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-    UDC_CHECK(fd_ >= 0, "WalWriter: cannot open " + path_);
-    struct stat st {};
-    UDC_CHECK(::fstat(fd_, &st) == 0, "WalWriter: cannot stat " + path_);
-    segs_.push_back({path_, 0, static_cast<std::uint64_t>(st.st_size)});
+  std::uint64_t total = 0;
+  for (const auto& [seq, spath] : list_wal_segments(path_)) {
+    // Reopening an intact chain (recovery truncates before reuse, so a
+    // zero tail here is at worst preallocation): live data is the valid
+    // frame prefix.
+    WalReadResult r = read_wal_file(spath);
+    segs_.push_back({spath, total, r.valid_bytes});
+    total += r.valid_bytes;
+    next_seq_ = seq + 1;
+  }
+  if (segs_.empty()) {
+    open_next_segment_locked();
   } else {
-    const auto existing = list_wal_segments(path_);
-    std::uint64_t total = 0;
-    for (const auto& [seq, spath] : existing) {
-      // Reopening an intact chain (recovery truncates before reuse, so a
-      // zero tail here is at worst preallocation): live data is the valid
-      // frame prefix.
-      WalReadResult r = read_wal_file(spath);
-      segs_.push_back({spath, total, r.valid_bytes});
-      total += r.valid_bytes;
-      next_seq_ = seq + 1;
-    }
-    if (segs_.empty()) {
-      open_next_segment_locked();
-    } else {
-      fd_ = ::open(segs_.back().path.c_str(), O_RDWR | O_CLOEXEC);
-      UDC_CHECK(fd_ >= 0, "WalWriter: cannot open " + segs_.back().path);
-    }
+    fd_ = ::open(segs_.back().path.c_str(), O_RDWR | O_CLOEXEC);
+    UDC_CHECK(fd_ >= 0, "WalWriter: cannot open " + segs_.back().path);
   }
   // Reopened after recovery: everything already on disk counts as synced
   // (recovery fsyncs what it keeps).
-  const std::uint64_t on_disk = segs_.empty() ? 0 : segs_.back().start +
-                                                        segs_.back().data;
-  written_.store(on_disk, std::memory_order_relaxed);
-  synced_.store(on_disk, std::memory_order_relaxed);
+  written_.store(total, std::memory_order_relaxed);
+  synced_.store(total, std::memory_order_relaxed);
   open_.store(true, std::memory_order_relaxed);
 }
-
-WalWriter::WalWriter(std::string path, FsyncPolicy policy, int sync_every)
-    : WalWriter(std::move(path), WalOptions{policy, sync_every, 0, 0, false}) {}
 
 WalWriter::~WalWriter() { close(); }
 
@@ -351,19 +329,16 @@ void WalWriter::open_next_segment_locked() {
   int fd = ::open(spath.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC,
                   0644);
   UDC_CHECK(fd >= 0, "WalWriter: cannot open " + spath);
-  if (opts_.preallocate) preallocate_fd(fd, opts_.segment_bytes);
+  preallocate_fd(fd, opts_.segment_bytes);
   segs_.push_back({spath, written_.load(std::memory_order_relaxed), 0});
   ++next_seq_;
   fd_ = fd;
 }
 
 void WalWriter::seal_active_locked() {
-  Segment& s = segs_.back();
-  if (opts_.preallocate) {
-    // Cut the preallocated zero tail so the sealed file's size IS its data
-    // length; the deferred fdatasync below makes both durable at once.
-    (void)::ftruncate(fd_, static_cast<off_t>(s.data));
-  }
+  // Cut the preallocated zero tail so the sealed file's size IS its data
+  // length; the deferred fdatasync makes both durable at once.
+  (void)::ftruncate(fd_, static_cast<off_t>(segs_.back().data));
   sealed_unsynced_.push_back(fd_);
   fd_ = -1;
 }
@@ -391,9 +366,8 @@ void WalWriter::write_ring_frames_locked(std::uint64_t from,
   for (std::uint64_t i = from; i != from + frames; ++i) {
     const std::uint8_t* slot = ring_slot(i);
     const std::size_t frame_bytes = kFrameHeaderBytes + load_u32le(slot);
-    if (opts_.segment_bytes > 0 &&
-        segs_.back().data + scratch_.size() + frame_bytes >
-            opts_.segment_bytes) {
+    if (segs_.back().data + scratch_.size() + frame_bytes >
+        opts_.segment_bytes) {
       // The construction-time check segment_bytes >= kMaxWalFrameBytes
       // guarantees the fresh segment can hold this frame.
       flush_batch();
@@ -418,84 +392,34 @@ void WalWriter::drain_locked() {
 
 std::uint64_t WalWriter::append(const StoreRecord& r) {
   UDC_CHECK(is_open(), "WalWriter: append after close");
-  // Appends are externally serialized (one appender at a time), so every
-  // counter below uses plain load+store instead of a lock-prefixed RMW —
-  // they sit on the per-event hot path.
-  if (opts_.ring_frames > 0) {
-    // Staged fast path: encode straight into a free ring slot and publish
-    // it with one release store — no lock, no heap allocation, no syscall.
-    // A full ring makes the appender drain it itself (backpressure), which
-    // can wait out a concurrent batch write but never an fdatasync.
-    const std::uint64_t tail = ring_tail_.load(std::memory_order_relaxed);
-    if (tail - ring_head_.load(std::memory_order_acquire) ==
-        opts_.ring_frames) {
-      std::lock_guard<std::mutex> dl(drain_mu_);
-      drain_locked();
-    }
-    std::uint8_t* slot = ring_slot(tail);
-    const std::size_t len = encode_record_into(r, slot + kFrameHeaderBytes);
-    wal_frame_into(slot + kFrameHeaderBytes, static_cast<std::uint32_t>(len),
-                   slot);
-    ring_tail_.store(tail + 1, std::memory_order_release);
-    const std::uint64_t appended =
-        appended_frames_.load(std::memory_order_relaxed) + 1;
-    appended_frames_.store(appended, std::memory_order_relaxed);
-    return appended - synced_frames_cum_.load(std::memory_order_relaxed);
+  // Encode straight into a free ring slot and publish it with one release
+  // store — no lock, no heap allocation, no syscall.  A full ring makes the
+  // appender drain it itself (backpressure), which waits out a commit in
+  // flight.  Appends are externally serialized (one appender at a time), so
+  // the counter below uses plain load+store instead of a lock-prefixed RMW.
+  const std::uint64_t tail = ring_tail_.load(std::memory_order_relaxed);
+  if (tail - ring_head_.load(std::memory_order_acquire) == opts_.ring_frames) {
+    std::lock_guard<std::mutex> dl(drain_mu_);
+    drain_locked();
   }
-
-  // Write-through path: one stack-buffered frame, one pwrite — the frame
-  // reaches the page cache immediately, so a plain process kill loses
-  // nothing that was appended.
-  std::lock_guard<std::mutex> dl(drain_mu_);
-  std::uint8_t frame[kMaxWalFrameBytes];
-  const std::size_t len = encode_record_into(r, frame + kFrameHeaderBytes);
-  wal_frame_into(frame + kFrameHeaderBytes, static_cast<std::uint32_t>(len),
-                 frame);
-  const std::size_t frame_bytes = kFrameHeaderBytes + len;
-  Segment* s = &segs_.back();
-  if (opts_.segment_bytes > 0 &&
-      s->data + frame_bytes > opts_.segment_bytes) {
-    seal_active_locked();
-    open_next_segment_locked();
-    s = &segs_.back();
-  }
-  write_all(fd_, frame, frame_bytes, static_cast<std::int64_t>(s->data),
-            s->path);
-  s->data += frame_bytes;
-  written_.store(written_.load(std::memory_order_relaxed) + frame_bytes,
-                 std::memory_order_relaxed);
-  written_frames_.store(
-      written_frames_.load(std::memory_order_relaxed) + 1,
-      std::memory_order_relaxed);
+  std::uint8_t* slot = ring_slot(tail);
+  const std::size_t len = encode_record_into(r, slot + kFrameHeaderBytes);
+  wal_frame_into(slot + kFrameHeaderBytes, static_cast<std::uint32_t>(len),
+                 slot);
+  ring_tail_.store(tail + 1, std::memory_order_release);
   const std::uint64_t appended =
       appended_frames_.load(std::memory_order_relaxed) + 1;
   appended_frames_.store(appended, std::memory_order_relaxed);
-  if (opts_.fsync == FsyncPolicy::kEveryAppend ||
-      (opts_.fsync == FsyncPolicy::kEveryN &&
-       unsynced_frames() >= opts_.sync_every)) {
-    commit_locked();
-  }
   return appended - synced_frames_cum_.load(std::memory_order_relaxed);
 }
 
 bool WalWriter::commit() {
+  // The one-store round: drain, then barrier the sealed segments and the
+  // active one.  A scripted kSyncFail window is the firmware-lies failure
+  // mode: the kernel accepted the writes but the barrier did nothing.
   std::lock_guard<std::mutex> dl(drain_mu_);
   if (!is_open()) return false;
   drain_locked();
-  return commit_locked();
-}
-
-bool WalWriter::pending_locked() const {
-  return written_.load(std::memory_order_relaxed) >
-             synced_.load(std::memory_order_relaxed) ||
-         !sealed_unsynced_.empty();
-}
-
-bool WalWriter::commit_locked() {
-  // drain_mu_ held; the staged ring (if any) has already been drained by
-  // the caller, so written_ covers everything appended.  A scripted
-  // kSyncFail window is the firmware-lies failure mode: the kernel
-  // accepted the writes but the barrier silently did nothing.
   if (!pending_locked()) return false;
   bool synced = !sync_failing_.load(std::memory_order_relaxed);
   for (int fd : sealed_unsynced_) synced = synced && datasync(fd) == 0;
@@ -503,6 +427,12 @@ bool WalWriter::commit_locked() {
   settle_locked(synced, written_.load(std::memory_order_relaxed),
                 written_frames_.load(std::memory_order_relaxed));
   return true;
+}
+
+bool WalWriter::pending_locked() const {
+  return written_.load(std::memory_order_relaxed) >
+             synced_.load(std::memory_order_relaxed) ||
+         !sealed_unsynced_.empty();
 }
 
 void WalWriter::settle_locked(bool synced, std::uint64_t bytes,
@@ -559,25 +489,18 @@ void WalWriter::truncate_all() {
   UDC_CHECK(is_open(), "WalWriter: truncate after close");
   ring_head_.store(0, std::memory_order_relaxed);
   ring_tail_.store(0, std::memory_order_relaxed);
-  if (opts_.segment_bytes == 0) {
-    UDC_CHECK(::ftruncate(fd_, 0) == 0,
-              "WalWriter: truncate failed: " + path_);
-    segs_.back().data = 0;
-  } else {
-    for (int fd : sealed_unsynced_) ::close(fd);
-    sealed_unsynced_.clear();
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-    for (const Segment& s : segs_) {
-      std::error_code ec;
-      std::filesystem::remove(s.path, ec);
-    }
-    segs_.clear();
-    next_seq_ = 0;
-    written_.store(0, std::memory_order_relaxed);
-    open_next_segment_locked();
+  for (int fd : sealed_unsynced_) ::close(fd);
+  sealed_unsynced_.clear();
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+  for (const Segment& s : segs_) {
+    std::error_code ec;
+    std::filesystem::remove(s.path, ec);
   }
+  segs_.clear();
+  next_seq_ = 0;
   written_.store(0, std::memory_order_relaxed);
+  open_next_segment_locked();
   synced_.store(0, std::memory_order_relaxed);
   written_frames_.store(0, std::memory_order_relaxed);
   synced_frames_.store(0, std::memory_order_relaxed);

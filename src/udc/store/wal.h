@@ -18,31 +18,24 @@
 // recoverable condition (truncate, rejoin, re-learn; DESIGN.md §9), not a
 // programming error.
 //
-// PR 6 splits the log into two physical layouts behind one WalWriter:
+// A WalWriter has one layout and one write path:
 //
-//   * single-file (segment_bytes == 0) — the PR 4/5 layout: one file at the
-//     base path, appends go straight to the fd.  All pre-existing tests and
-//     the inline-fsync durability modes run here unchanged.
-//   * segmented (segment_bytes > 0) — the log is a chain of fixed-capacity
-//     files `<base>.seg-NNNNNN`, each preallocated at creation (so data
-//     appends never grow the inode and `fdatasync` stays a data-only
-//     barrier) and SEALED at rotation (ftruncate to its exact data length).
-//     The reader stitches segments in sequence order; an all-zero tail is a
-//     clean preallocated end, not corruption, and a mid-chain all-zero tail
-//     (a seal interrupted between the last write and the ftruncate) is
-//     skipped so later synced segments still count.
-//
-// Appends come in two flavors as well:
-//
-//   * write-through (ring_frames == 0) — every append issues write(2); what
-//     a plain process kill leaves behind is everything appended, because
-//     the page cache outlives the process.
-//   * staged (ring_frames > 0, the group-commit fast path) — appends encode
-//     the frame IN PLACE into a fixed-slot ring buffer (zero heap
-//     allocations, no syscall) and the group committer drains the ring with
-//     one pwritev(2) per batch.  Staged-but-undrained frames live only in
-//     user memory, so the loss window of ANY kill — plain process kill or
-//     machine-style kTruncate — is "since the last group commit".
+//   * the log is a chain of fixed-capacity files `<base>.seg-NNNNNN`, each
+//     preallocated at creation (so data appends never grow the inode and
+//     `fdatasync` stays a data-only barrier) and SEALED at rotation
+//     (ftruncate to its exact data length).  The reader stitches segments
+//     in sequence order; an all-zero tail is a clean preallocated end, not
+//     corruption, and a mid-chain all-zero tail (a seal interrupted between
+//     the last write and the ftruncate) is skipped so later synced segments
+//     still count.
+//   * appends encode the frame IN PLACE into a fixed-slot ring buffer (zero
+//     heap allocations, no syscall); a commit — a group-commit round or
+//     ProcessStore::flush() — drains the ring with one write per segment
+//     and then barriers it.  A full ring drains itself on the appender's
+//     thread, so a small ring puts frames in the page cache, written but
+//     unsynced, within a few appends.  Staged-but-undrained frames live
+//     only in user memory: a plain process kill loses them, and a
+//     machine-style kTruncate loses everything since the last commit.
 //
 // The writer tracks the append/drain/sync ladder in frames and bytes:
 // appended (logical, includes staged) >= written (handed to the OS) >=
@@ -83,12 +76,6 @@ inline constexpr std::size_t kFrameHeaderBytes = 8;  // u32 len + u32 crc
 // Bound on one payload.  wal_frame refuses anything larger, and the reader
 // rejects a larger length before trusting it (no giant allocation).
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 16;
-
-enum class FsyncPolicy {
-  kNever,        // never fsync: a machine crash may lose the entire WAL
-  kEveryAppend,  // fsync after every frame: nothing unsynced, slowest
-  kEveryN,       // fsync every sync_every frames: bounded unsynced tail
-};
 
 // Upper bound on one framed record (8-byte header + the codec's worst
 // case).  Frames are variable-length on disk — the varint codec makes a
@@ -171,29 +158,25 @@ std::string wal_segment_path(const std::string& base, unsigned seq);
 std::vector<std::pair<unsigned, std::string>> list_wal_segments(
     const std::string& base);
 
-// Reads a WAL regardless of layout: stitches `<base>.seg-*` files when any
-// exist, else falls back to the single file at `base`.  The global valid
-// prefix ends at the first invalid frame anywhere in the chain; an all-zero
-// tail on the LAST segment (or on a mid-chain segment whose successor is
-// intact — an interrupted seal) does not invalidate anything.
+// Reads a WAL: stitches its `<base>.seg-*` files (none reads as empty).
+// The global valid prefix ends at the first invalid frame anywhere in the
+// chain; an all-zero tail on the LAST segment (or on a mid-chain segment
+// whose successor is intact — an interrupted seal) does not invalidate
+// anything.
 WalReadResult read_wal(const std::string& base, std::size_t max_read_chunk = 0);
 
-// Repairs a WAL regardless of layout: truncates the first segment with junk
-// past its valid prefix and deletes every later segment (their content is
-// past the global prefix by construction).  Returns true iff NONZERO bytes
-// were cut — a preallocated zero tail is trimmed silently, so recovery
-// counters only tick for real torn/corrupt tails.
+// Repairs a WAL: truncates the first segment with junk past its valid
+// prefix and deletes every later segment (their content is past the global
+// prefix by construction).  Returns true iff NONZERO bytes were cut — a
+// preallocated zero tail is trimmed silently, so recovery counters only
+// tick for real torn/corrupt tails.
 bool repair_wal(const std::string& base);
 
+// Both sizes are required: the writer rejects a zero one.
 struct WalOptions {
-  FsyncPolicy fsync = FsyncPolicy::kNever;
-  int sync_every = 8;               // frames per barrier under kEveryN
-  std::uint64_t segment_bytes = 0;  // >0: segmented layout, else single file
-  std::size_t ring_frames = 0;      // >0: staged appends through a slot ring
-  bool preallocate = true;          // segmented only: fallocate at creation
+  std::uint64_t segment_bytes = 0;  // segment capacity, >= one frame
+  std::size_t ring_frames = 0;      // staging ring slots, a power of two
 };
-
-class SyncBarrier;
 
 // Move-only handle for a two-phase group commit round.  start_commit()
 // drains the ring (one pwritev per batch) and hands back the fds that still
@@ -218,8 +201,6 @@ class WalWriter {
   // InvariantViolation if the log cannot be opened — an unusable log
   // directory is a configuration error, not a scripted fault.
   WalWriter(std::string path, WalOptions opts);
-  // Legacy single-file write-through signature (the PR 4/5 constructor).
-  WalWriter(std::string path, FsyncPolicy policy, int sync_every);
   ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;
@@ -233,12 +214,11 @@ class WalWriter {
   // not with truncate_all() or close().
   std::uint64_t append(const StoreRecord& r);
 
-  // Drain + policy-independent barrier for everything appended.  Returns
-  // true iff there was pending (staged or unsynced) work.  A barrier that
-  // does not land — a scripted kSyncFail window, or fdatasync reporting an
-  // error — is counted in sync_failures and advances nothing.
+  // Drain + barrier for everything appended.  Returns true iff there was
+  // pending (staged or unsynced) work.  A barrier that does not land — a
+  // scripted kSyncFail window, or fdatasync reporting an error — is counted
+  // in sync_failures and advances nothing.
   bool commit();
-  void sync() { commit(); }  // legacy name
 
   // Two-phase commit for the batched group-commit round; see
   // WalCommitTicket.  finish_commit must be called exactly once per ticket
@@ -313,8 +293,7 @@ class WalWriter {
   // Writes `frames` ring slots starting at monotonic slot counter `from`
   // to the active segment, rotating as capacity runs out.  drain_mu_ held.
   void write_ring_frames_locked(std::uint64_t from, std::uint64_t frames);
-  void drain_locked();   // drain_mu_ held
-  bool commit_locked();  // drain_mu_ held, ring already drained
+  void drain_locked();  // drain_mu_ held
   bool pending_locked() const;
   // Settles a barrier round covering (bytes, frames); drain_mu_ held.
   void settle_locked(bool synced, std::uint64_t bytes, std::uint64_t frames);
@@ -339,8 +318,7 @@ class WalWriter {
   // it; standalone users get the same rule documented on append()).
   std::mutex drain_mu_;
 
-  // Segment table (single-file mode uses one never-sealed entry).  Guarded
-  // by drain_mu_.
+  // Segment table.  Guarded by drain_mu_.
   std::vector<Segment> segs_;
   unsigned next_seq_ = 0;
   int fd_ = -1;                     // active tail fd

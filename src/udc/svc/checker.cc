@@ -159,4 +159,19 @@ SvcSessionReport check_sessions(
   return rep;
 }
 
+SvcReplicaJoin join_do_order(const std::vector<ActionId>& do_order,
+                             std::vector<SvcBatch> records) {
+  SvcReplicaJoin j;
+  for (SvcBatch& b : records) j.last_record[b.action] = std::move(b);
+  for (ActionId a : do_order) {
+    auto it = j.last_record.find(a);
+    if (it == j.last_record.end()) {
+      j.unbacked.push_back(a);
+    } else {
+      j.applied.push_back(it->second);
+    }
+  }
+  return j;
+}
+
 }  // namespace udc

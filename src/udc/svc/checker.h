@@ -26,9 +26,11 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "udc/common/types.h"
 #include "udc/svc/wire.h"
 
 namespace udc {
@@ -62,5 +64,19 @@ struct SvcSessionReport {
 SvcSessionReport check_sessions(
     const std::vector<std::vector<SvcBatch>>& applied_per_node,
     const std::vector<SvcClientRecord>& confirmed);
+
+// A replica's apply sequence, rebuilt from its disk: the durable kDo order
+// joined to its service-log records.  The rule: each kDo applies the LAST
+// record of its action — the highest-term acceptance, the only one the
+// cluster can have committed (svclog.h).  Replica recovery and the fleet
+// verdict both rebuild a replica with it.
+struct SvcReplicaJoin {
+  std::map<ActionId, SvcBatch> last_record;  // per action with a record
+  std::vector<SvcBatch> applied;             // one per joined kDo, in order
+  std::vector<ActionId> unbacked;            // kDos with no record
+};
+
+SvcReplicaJoin join_do_order(const std::vector<ActionId>& do_order,
+                             std::vector<SvcBatch> records);
 
 }  // namespace udc

@@ -315,7 +315,7 @@ SvcFleetVerdict run_svc_fleet(const SvcFleetOptions& opts) {
   }
 
   for (auto& cl : clients) cl->stop();
-  FleetOutcome out = sup.finish(mp_store_options());
+  FleetOutcome out = sup.finish();
   v.run = std::move(out.run);
 
   // Every batch action any shard initiated, and each replica's apply
@@ -327,24 +327,19 @@ SvcFleetVerdict run_svc_fleet(const SvcFleetOptions& opts) {
       static_cast<std::size_t>(opts.n));
   bool join_ok = true;
   for (ProcessId p = 0; p < opts.n; ++p) {
-    std::map<ActionId, SvcBatch> by_action;
-    const std::string slog_path =
-        opts.run_dir + "/svc-" + std::to_string(p) + ".log";
-    for (const SvcBatch& sb : SvcDurableLog::read(slog_path)) {
-      by_action[sb.action] = sb;
-    }
+    std::vector<ActionId> do_order;
     for (const Event& e : v.run->history(p).events()) {
       if (e.kind == EventKind::kInit) initiated.insert(e.action);
-      if (e.kind != EventKind::kDo) continue;
-      auto it = by_action.find(e.action);
-      if (it == by_action.end()) {
-        join_ok = false;
-        continue;
-      }
-      applied_per_node[static_cast<std::size_t>(p)].push_back(it->second);
-      applied_slots[static_cast<std::size_t>(p)].push_back(
-          {it->second.slot, e.action});
+      if (e.kind == EventKind::kDo) do_order.push_back(e.action);
     }
+    SvcReplicaJoin join = join_do_order(
+        do_order, SvcDurableLog::read(opts.run_dir + "/svc-" +
+                                      std::to_string(p) + ".log"));
+    join_ok = join_ok && join.unbacked.empty();
+    for (const SvcBatch& b : join.applied) {
+      applied_slots[static_cast<std::size_t>(p)].push_back({b.slot, b.action});
+    }
+    applied_per_node[static_cast<std::size_t>(p)] = std::move(join.applied);
   }
   v.actions.assign(initiated.begin(), initiated.end());
 

@@ -15,6 +15,7 @@
 #include "udc/net/reactor.h"
 #include "udc/net/wire.h"
 #include "udc/rt/mailbox.h"
+#include "udc/svc/checker.h"
 #include "udc/svc/lease.h"
 #include "udc/svc/log.h"
 #include "udc/svc/session.h"
@@ -142,21 +143,17 @@ int run_svc_node(const SvcNodeOptions& opts) {
       if (e.kind == EventKind::kInit) my_inits.insert(e.action);
       if (e.kind == EventKind::kDo) wal_do_order.push_back(e.action);
     }
-    // Last record per action wins: the highest-term acceptance, the only
-    // one the cluster can have committed (svclog.h).
-    std::map<ActionId, SvcBatch> by_action;
-    for (SvcBatch& b : SvcDurableLog::recover(slog_path)) {
+    std::vector<SvcBatch> records = SvcDurableLog::recover(slog_path);
+    for (const SvcBatch& b : records) {
       max_term_seen = std::max(max_term_seen, b.term);
-      by_action[b.action] = std::move(b);
     }
+    const SvcReplicaJoin join = join_do_order(wal_do_order, std::move(records));
 
     // Replay applies in durable kDo order: an ack preceded every apply, so
     // a durable kDo is always backed by a durable service-log record.
-    for (ActionId a : wal_do_order) {
-      auto it = by_action.find(a);
-      UDC_CHECK(it != by_action.end(),
-                "svc node: durable kDo without a service-log record");
-      const SvcBatch& b = it->second;
+    UDC_CHECK(join.unbacked.empty(),
+              "svc node: durable kDo without a service-log record");
+    for (const SvcBatch& b : join.applied) {
       log.accept(b);
       log.mark_committed(b.slot);
       max_committed_slot = std::max(max_committed_slot, b.slot);
@@ -171,7 +168,7 @@ int run_svc_node(const SvcNodeOptions& opts) {
     // whose slot the replay committed to different content goes to the
     // orphan stash instead of the log: it still carries init obligations,
     // and adoption re-homes it.
-    for (const auto& [a, b] : by_action) {
+    for (const auto& [a, b] : join.last_record) {
       if (log.slot_of(a)) continue;
       std::size_t gate = 0;
       if (action_owner(a) == opts.id && my_inits.count(a) == 0) {

@@ -1,9 +1,9 @@
-// GroupCommitter + ProcessStore group-commit mode (store/group_commit.h,
-// DESIGN.md §10): fsync moves off the append path into batched background
-// flushes.  The semantic claim under test: what a machine-style crash (the
-// kTruncate storage fault, which cuts the WAL back to bytes_synced) can lose
-// is exactly the unflushed SUFFIX — nothing with group commit after a flush,
-// everything appended since the last one otherwise.  Plus the plumbing:
+// GroupCommitter + ProcessStore (store/group_commit.h, DESIGN.md §10):
+// fsync stays off the append path, in batched background rounds.  The
+// semantic claim under test: what a machine-style crash (the kTruncate
+// storage fault, which cuts the WAL back to bytes_synced) can lose is
+// exactly the unflushed SUFFIX — nothing after a flush, everything
+// appended since the last one otherwise.  Plus the plumbing:
 // commit_every kicks the flusher early, stop() is a final barrier, and idle
 // flushes are free.
 #include "udc/store/group_commit.h"
@@ -43,7 +43,6 @@ StorageFault truncate_fault() {
 StoreOptions gc_opts(int commit_every,
                      std::chrono::microseconds interval) {
   StoreOptions o;
-  o.group_commit = true;
   o.commit_every = commit_every;
   o.commit_interval = interval;
   return o;
@@ -62,9 +61,12 @@ bool wait_for(const std::function<bool()>& pred,
 TEST(GroupCommit, UnflushedBatchIsExactlyWhatAMachineCrashLoses) {
   Rng rng(7);
   // A huge interval and batch keep the flusher out of the picture entirely:
-  // nothing ever fsyncs, so the kTruncate fault erases the whole WAL.
-  ProcessStore store(fresh_dir("unflushed").string(), 0,
-                     gc_opts(1'000'000, std::chrono::seconds(100)),
+  // nothing ever fsyncs, so the kTruncate fault erases the whole WAL.  The
+  // one-slot ring hands each frame to the kernel on the next append, so the
+  // fault finds written frames to cut.
+  StoreOptions o = gc_opts(1'000'000, std::chrono::seconds(100));
+  o.ring_frames = 1;
+  ProcessStore store(fresh_dir("unflushed").string(), 0, o,
                      {truncate_fault()});
   for (Time t = 1; t <= 20; ++t) store.append(t, Event::do_action(1));
   store.apply_kill_faults(/*kill_time=*/21, rng);

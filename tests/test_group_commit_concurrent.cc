@@ -10,9 +10,7 @@
 //
 // — i.e. what any kill loses is "since the last successful group commit",
 // never a hole, never a reordering, never anything a barrier already
-// covered.  The sweep runs the same scenario through both SyncBarrier
-// engines (pool and serial, picked by the flusher thread count), so the
-// batched-fdatasync plumbing is raced under each implementation.
+// covered, with the batched fdatasyncs raced through the SyncBarrier pool.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -59,9 +57,11 @@ Event event_at(ProcessId self, Time t) {
   }
 }
 
-// 16 bytes with no padding: gtest prints the raw bytes into the test name.
+// The barrier engine the cases run on: the committer's flusher pool, the
+// one engine there is.  16 bytes with no padding: gtest prints the raw
+// bytes into the test name.
 struct SweepCase {
-  std::int64_t flusher_threads;
+  std::int64_t pool_threads;
   const char* name;
 };
 
@@ -78,13 +78,11 @@ TEST_P(GroupCommitConcurrent, KillMidBatchLosesAtMostSinceLastCommit) {
   auto dir = fresh_dir(std::string("kill_") + param.name);
 
   StoreOptions o;
-  o.group_commit = true;
   o.segment_bytes = 4 * 1024;  // many rotations across 600 frames
   o.ring_frames = 64;          // small ring: self-drain backpressure too
   o.commit_every = 16;
   o.commit_interval = std::chrono::microseconds{200};
   o.snapshot_every = 150;  // rotations race the committer's drains
-  o.flusher_threads = static_cast<int>(param.flusher_threads);
 
   // Machine-crash semantics at every kill, plus poisoned barriers over the
   // middle third of the run.
@@ -100,8 +98,8 @@ TEST_P(GroupCommitConcurrent, KillMidBatchLosesAtMostSinceLastCommit) {
     stores.push_back(std::make_unique<ProcessStore>(
         dir.string(), p, o, std::vector<StorageFault>{trunc, sync_fail}));
   }
-  GroupCommitter committer(GroupCommitOptions{o.flusher_threads});
-  ASSERT_STREQ(committer.barrier_name(), param.name);
+  ASSERT_EQ(param.pool_threads, kFlusherThreads);
+  GroupCommitter committer;
   for (auto& s : stores) committer.attach(s.get());
 
   {
@@ -177,13 +175,11 @@ TEST_P(GroupCommitConcurrent, FullRingSelfDrainThenFlushIsCrashProof) {
   const SweepCase param = GetParam();
   auto dir = fresh_dir(std::string("ring_") + param.name);
   StoreOptions o;
-  o.group_commit = true;
   o.segment_bytes = 2 * 1024;
   o.ring_frames = 8;  // overflows every few appends
   o.commit_every = 1'000'000;
   o.commit_interval = std::chrono::seconds{100};
   o.snapshot_every = 1'000'000;
-  o.flusher_threads = static_cast<int>(param.flusher_threads);
   StorageFault trunc;
   trunc.kind = StorageFault::Kind::kTruncate;
   ProcessStore store(dir.string(), 0, o, {trunc});
@@ -201,7 +197,7 @@ TEST_P(GroupCommitConcurrent, FullRingSelfDrainThenFlushIsCrashProof) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, GroupCommitConcurrent,
-    ::testing::Values(SweepCase{4, "pool"}, SweepCase{1, "serial"}),
+    ::testing::Values(SweepCase{kFlusherThreads, "pool"}),
     [](const ::testing::TestParamInfo<SweepCase>& info) {
       return info.param.name;
     });

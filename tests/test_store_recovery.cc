@@ -6,7 +6,9 @@
 // no storage fault may ever surface as a non-conformant live run.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <limits>
 #include <string>
 
 #include "udc/chaos/fault_script.h"
@@ -22,6 +24,19 @@ std::string fresh_dir(const std::string& name) {
   fs::path d = fs::temp_directory_path() / ("udc_recover_" + name);
   fs::remove_all(d);
   return d.string();  // run_live creates it
+}
+
+// A store whose committer never runs a round on its own (no kick, an
+// hour-long interval) and whose one-slot ring hands every frame but the
+// newest to the kernel: at a kill, the whole log is written but unsynced,
+// so a machine-crash truncate takes all of it.
+StoreOptions uncommitted_store() {
+  StoreOptions s;
+  s.commit_every = std::numeric_limits<int>::max();
+  s.commit_interval = std::chrono::hours(1);
+  s.ring_frames = 1;
+  s.snapshot_every = 1'000'000;  // no snapshot floor either
+  return s;
 }
 
 std::string violations_of(const RtVerdict& v) {
@@ -43,7 +58,6 @@ TEST(StoreRecovery, RestartedWorkerRecoversFromDiskAndPreservesUniformity) {
   o.script.crashes.push_back({1, 40});
   o.seed = 7;
   o.durable_dir = fresh_dir("basic");
-  o.store.fsync = FsyncPolicy::kEveryAppend;
   RtVerdict v = run_live(o);
   EXPECT_EQ(v.status, BudgetStatus::kComplete);
   EXPECT_GE(v.counters.restarts, 1u);
@@ -67,11 +81,8 @@ TEST(StoreRecovery, SnapshotPlusTailReplayCarriesALateCrash) {
   o.restart_after = 200;
   o.seed = 11;
   o.durable_dir = fresh_dir("snapshot_tail");
-  // Write-through, so the tail is on disk at the kill.  Under the runtime's
-  // default group commit it may still sit in the staging ring, which the
-  // kill discards, leaving no tail to replay in about 1 run in 6.
-  o.store.group_commit = false;
-  o.store.fsync = FsyncPolicy::kEveryAppend;
+  // The store is closed only at the restart, 200 ticks after the kill, so
+  // by then the committer has drained and synced the victim's tail.
   o.store.snapshot_every = 16;
   RtVerdict v = run_live(o);
   EXPECT_EQ(v.status, BudgetStatus::kComplete);
@@ -100,7 +111,6 @@ TEST(StoreRecovery, TornTailIsTruncatedNotFatal) {
   o.script.storage_faults.push_back(torn);
   o.seed = 19;
   o.durable_dir = fresh_dir("torn");
-  o.store.fsync = FsyncPolicy::kEveryAppend;
   RtVerdict v = run_live(o);
   EXPECT_EQ(v.status, BudgetStatus::kComplete);
   EXPECT_GE(v.counters.storage_faults_injected, 1u);
@@ -109,10 +119,10 @@ TEST(StoreRecovery, TornTailIsTruncatedNotFatal) {
   fs::remove_all(o.durable_dir);
 }
 
-// The worst durability level with the harshest fault: fsync never, and the
-// machine-crash truncate reclaims the whole unsynced WAL.  The recovered
-// worker restarts with (nearly) empty state; the supervisor re-injects the
-// inits the disk forgot and the kRejoin beacon makes peers re-teach the
+// The worst durability level with the harshest fault: a store that never
+// syncs, and the machine-crash truncate reclaims the whole unsynced WAL.
+// The recovered worker restarts with empty state; the supervisor re-injects
+// the inits the disk forgot and the kRejoin beacon makes peers re-teach the
 // rest — the run must still conform, now the hard way.
 TEST(StoreRecovery, TotalLogLossUnderFsyncNeverStillReconverges) {
   RtOptions o;
@@ -130,11 +140,13 @@ TEST(StoreRecovery, TotalLogLossUnderFsyncNeverStillReconverges) {
   o.script.storage_faults.push_back(trunc);
   o.seed = 23;
   o.durable_dir = fresh_dir("total_loss");
-  o.store.fsync = FsyncPolicy::kNever;
-  o.store.snapshot_every = 1'000'000;  // no snapshot floor either
+  o.store = uncommitted_store();
   RtVerdict v = run_live(o);
   EXPECT_EQ(v.status, BudgetStatus::kComplete);
   EXPECT_GE(v.counters.recoveries_total, 1u);
+  EXPECT_GE(v.counters.storage_faults_injected, 1u);  // the truncate cut
+  EXPECT_EQ(v.counters.wal_frames_replayed, 0u);      // ...every frame
+  EXPECT_EQ(v.counters.snapshots_loaded, 0u);
   EXPECT_TRUE(v.conformant) << violations_of(v);
   fs::remove_all(o.durable_dir);
 }
@@ -164,12 +176,17 @@ TEST(StoreRecovery, EveryFaultKindYieldsAConformantRecovery) {
     o.script.storage_faults.push_back(f);
     o.seed = 31 + static_cast<std::uint64_t>(i);
     o.durable_dir = fresh_dir("kind_" + std::to_string(i));
-    o.store.fsync = FsyncPolicy::kEveryN;
-    o.store.fsync_every = 8;
     o.store.snapshot_every = 24;
+    // Left to the committer, the victim's tail is synced long before the
+    // restart closes its store, and the truncate has nothing to cut.
+    const bool truncate = kind == StorageFault::Kind::kTruncate;
+    if (truncate) o.store = uncommitted_store();
     RtVerdict v = run_live(o);
     EXPECT_EQ(v.status, BudgetStatus::kComplete) << "kind " << i;
     EXPECT_GE(v.counters.recoveries_total, 1u) << "kind " << i;
+    if (truncate) {
+      EXPECT_GE(v.counters.storage_faults_injected, 1u);
+    }
     EXPECT_TRUE(v.conformant)
         << "kind " << i << " (" << o.protocol << ")\n" << violations_of(v);
     fs::remove_all(o.durable_dir);

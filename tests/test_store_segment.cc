@@ -140,10 +140,8 @@ Chain build_chain(const std::string& name, Time records) {
   Chain c;
   c.base = fresh_base(name);
   WalOptions o;
-  o.fsync = FsyncPolicy::kNever;
   o.segment_bytes = 128;  // a handful of frames per segment
   o.ring_frames = 16;
-  o.preallocate = true;
   {
     WalWriter w(c.base, o);
     for (Time t = 1; t <= records; ++t) {

@@ -108,11 +108,11 @@ TEST(StoreSnapshot, AnyDefectReadsAsAbsentNotAsAnError) {
 TEST(StoreProcess, RotatesSnapshotsAndRecoversSnapshotPlusTail) {
   fs::path dir = fresh_dir("rotate");
   StoreOptions opts;
-  opts.fsync = FsyncPolicy::kEveryAppend;
   opts.snapshot_every = 4;
   ProcessStore store(dir.string(), /*p=*/0, opts, /*faults=*/{});
   std::vector<StoreRecord> recs = records_upto(10);
   for (const StoreRecord& r : recs) store.append(r.t, r.e);
+  store.flush();
   // Snapshots of frames 1-4 and 1-8, written as frames 5 and 9 arrive; two
   // tail frames remain in the WAL.
   EXPECT_EQ(store.counters().snapshots_written, 2u);
@@ -134,11 +134,11 @@ TEST(StoreProcess, RotatesSnapshotsAndRecoversSnapshotPlusTail) {
 TEST(StoreProcess, AFullTailIsCompactedByTheNextAppendNotTheLast) {
   fs::path dir = fresh_dir("full_tail");
   StoreOptions opts;
-  opts.fsync = FsyncPolicy::kEveryAppend;
   opts.snapshot_every = 4;
   ProcessStore store(dir.string(), /*p=*/0, opts, /*faults=*/{});
   std::vector<StoreRecord> recs = records_upto(8);
   for (const StoreRecord& r : recs) store.append(r.t, r.e);
+  store.flush();
   EXPECT_EQ(store.counters().snapshots_written, 1u);  // frames 1-4
 
   Rng rng(5);
@@ -152,11 +152,11 @@ TEST(StoreProcess, AFullTailIsCompactedByTheNextAppendNotTheLast) {
 TEST(StoreProcess, SurvivesASecondCrashImmediatelyAfterRecovery) {
   fs::path dir = fresh_dir("double");
   StoreOptions opts;
-  opts.fsync = FsyncPolicy::kEveryAppend;
   opts.snapshot_every = 4;
   ProcessStore store(dir.string(), /*p=*/0, opts, /*faults=*/{});
   std::vector<StoreRecord> recs = records_upto(7);
   for (const StoreRecord& r : recs) store.append(r.t, r.e);
+  store.flush();
   Rng rng(4);
   store.apply_kill_faults(8, rng);
   EXPECT_EQ(store.recover(), recs);
@@ -168,9 +168,9 @@ TEST(StoreProcess, SurvivesASecondCrashImmediatelyAfterRecovery) {
   fs::remove_all(dir);
 }
 
-// Per-kind kill faults.  Each scenario appends the same 10 records under a
-// deliberately chosen fsync policy, kills with one fault, and checks the
-// recovered prefix against the fault's loss model.
+// Per-kind kill faults.  Each scenario appends the same 10 records, commits
+// them at deliberately chosen points (or never), kills with one fault, and
+// checks the recovered prefix against the fault's loss model.
 StorageFault fault_of(StorageFault::Kind kind) {
   StorageFault f;
   f.kind = kind;
@@ -178,15 +178,44 @@ StorageFault fault_of(StorageFault::Kind kind) {
   return f;  // window [0, kTimeMax): always live
 }
 
+// Keeps everything in the WAL.  The one-slot ring hands each frame to the
+// kernel on the next append, so an uncommitted tail is written but
+// unsynced: a process kill keeps it, a machine-crash truncate cuts it.
+StoreOptions small_ring_opts() {
+  StoreOptions opts;
+  opts.snapshot_every = 100;
+  opts.ring_frames = 1;
+  return opts;
+}
+
+// Appends records_upto(10), calling flush() after every `flush_every`-th
+// append (0: never), then kills the store under the machine-crash truncate
+// and returns what it recovers.
+std::vector<StoreRecord> truncate_after_flushes(const std::string& name,
+                                                int flush_every,
+                                                std::uint64_t seed) {
+  fs::path dir = fresh_dir(name);
+  ProcessStore store(dir.string(), 0, small_ring_opts(),
+                     {fault_of(StorageFault::Kind::kTruncate)});
+  int appended = 0;
+  for (const StoreRecord& r : records_upto(10)) {
+    store.append(r.t, r.e);
+    if (flush_every > 0 && ++appended % flush_every == 0) store.flush();
+  }
+  Rng rng(seed);
+  store.apply_kill_faults(11, rng);
+  std::vector<StoreRecord> recovered = store.recover();
+  fs::remove_all(dir);
+  return recovered;
+}
+
 TEST(StoreProcess, TornWriteLosesNothingRecordedJustTheTornTail) {
   fs::path dir = fresh_dir("torn");
-  StoreOptions opts;
-  opts.fsync = FsyncPolicy::kEveryAppend;
-  opts.snapshot_every = 100;  // keep everything in the WAL
-  ProcessStore store(dir.string(), 0, opts,
+  ProcessStore store(dir.string(), 0, small_ring_opts(),
                      {fault_of(StorageFault::Kind::kTornWrite)});
   std::vector<StoreRecord> recs = records_upto(10);
   for (const StoreRecord& r : recs) store.append(r.t, r.e);
+  store.flush();
   Rng rng(5);
   store.apply_kill_faults(11, rng);
   EXPECT_EQ(store.recover(), recs);  // full prefix: the torn frame was new
@@ -195,69 +224,27 @@ TEST(StoreProcess, TornWriteLosesNothingRecordedJustTheTornTail) {
   fs::remove_all(dir);
 }
 
-TEST(StoreProcess, TruncateToSyncedIsTheFsyncPolicysTeeth) {
-  // kNever + no snapshot: the whole unsynced WAL is lost.
-  {
-    fs::path dir = fresh_dir("trunc_never");
-    StoreOptions opts;
-    opts.fsync = FsyncPolicy::kNever;
-    opts.snapshot_every = 100;
-    ProcessStore store(dir.string(), 0, opts,
-                       {fault_of(StorageFault::Kind::kTruncate)});
-    std::vector<StoreRecord> recs = records_upto(10);
-    for (const StoreRecord& r : recs) store.append(r.t, r.e);
-    Rng rng(6);
-    store.apply_kill_faults(11, rng);
-    EXPECT_TRUE(store.recover().empty());
-    fs::remove_all(dir);
-  }
-  // kEveryAppend: nothing is unsynced, the fault has nothing to bite.
-  {
-    fs::path dir = fresh_dir("trunc_always");
-    StoreOptions opts;
-    opts.fsync = FsyncPolicy::kEveryAppend;
-    opts.snapshot_every = 100;
-    ProcessStore store(dir.string(), 0, opts,
-                       {fault_of(StorageFault::Kind::kTruncate)});
-    std::vector<StoreRecord> recs = records_upto(10);
-    for (const StoreRecord& r : recs) store.append(r.t, r.e);
-    Rng rng(7);
-    store.apply_kill_faults(11, rng);
-    EXPECT_EQ(store.recover(), recs);
-    fs::remove_all(dir);
-  }
-  // kEveryN(4): at most the last batch is lost — and the snapshot floor
-  // still holds whatever was compacted.
-  {
-    fs::path dir = fresh_dir("trunc_n");
-    StoreOptions opts;
-    opts.fsync = FsyncPolicy::kEveryN;
-    opts.fsync_every = 4;
-    opts.snapshot_every = 100;
-    ProcessStore store(dir.string(), 0, opts,
-                       {fault_of(StorageFault::Kind::kTruncate)});
-    std::vector<StoreRecord> recs = records_upto(10);
-    for (const StoreRecord& r : recs) store.append(r.t, r.e);
-    Rng rng(8);
-    store.apply_kill_faults(11, rng);
-    std::vector<StoreRecord> recovered = store.recover();
-    ASSERT_EQ(recovered.size(), 8u);  // two unsynced frames gone
-    for (std::size_t i = 0; i < recovered.size(); ++i) {
-      EXPECT_EQ(recovered[i], recs[i]);
-    }
-    fs::remove_all(dir);
+TEST(StoreProcess, TruncateToSyncedCutsEverythingSinceTheLastFlush) {
+  const std::vector<StoreRecord> recs = records_upto(10);
+  // Never flushed, no snapshot: the whole written-but-unsynced WAL is lost.
+  EXPECT_TRUE(truncate_after_flushes("trunc_never", 0, 6).empty());
+  // A flush after every append: the fault has nothing to bite.
+  EXPECT_EQ(truncate_after_flushes("trunc_always", 1, 7), recs);
+  // A flush every 4 appends: the two frames since the last one are lost.
+  std::vector<StoreRecord> recovered = truncate_after_flushes("trunc_n", 4, 8);
+  ASSERT_EQ(recovered.size(), 8u);
+  for (std::size_t i = 0; i < recovered.size(); ++i) {
+    EXPECT_EQ(recovered[i], recs[i]);
   }
 }
 
 TEST(StoreProcess, BitFlipCostsAtMostTheSuffixFromTheFlippedFrame) {
   fs::path dir = fresh_dir("bitflip");
-  StoreOptions opts;
-  opts.fsync = FsyncPolicy::kEveryAppend;
-  opts.snapshot_every = 100;
-  ProcessStore store(dir.string(), 0, opts,
+  ProcessStore store(dir.string(), 0, small_ring_opts(),
                      {fault_of(StorageFault::Kind::kBitFlip)});
   std::vector<StoreRecord> recs = records_upto(10);
   for (const StoreRecord& r : recs) store.append(r.t, r.e);
+  store.flush();
   Rng rng(9);
   store.apply_kill_faults(11, rng);
   std::vector<StoreRecord> recovered = store.recover();
@@ -271,13 +258,11 @@ TEST(StoreProcess, BitFlipCostsAtMostTheSuffixFromTheFlippedFrame) {
 
 TEST(StoreProcess, ShortReadRecoversTheIdenticalLog) {
   fs::path dir = fresh_dir("shortread");
-  StoreOptions opts;
-  opts.fsync = FsyncPolicy::kEveryAppend;
-  opts.snapshot_every = 100;
-  ProcessStore store(dir.string(), 0, opts,
+  ProcessStore store(dir.string(), 0, small_ring_opts(),
                      {fault_of(StorageFault::Kind::kShortRead)});
   std::vector<StoreRecord> recs = records_upto(10);
   for (const StoreRecord& r : recs) store.append(r.t, r.e);
+  store.flush();
   Rng rng(10);
   store.apply_kill_faults(11, rng);
   EXPECT_EQ(store.recover(), recs);
@@ -286,15 +271,15 @@ TEST(StoreProcess, ShortReadRecoversTheIdenticalLog) {
 
 TEST(StoreProcess, SyncFailWindowSuppressesFsyncAndTruncateCollectsTheDebt) {
   fs::path dir = fresh_dir("syncfail");
-  StoreOptions opts;
-  opts.fsync = FsyncPolicy::kEveryAppend;  // would normally sync everything
-  opts.snapshot_every = 100;
   StorageFault fail = fault_of(StorageFault::Kind::kSyncFail);
   fail.begin = 6;  // ticks 6.. lose their fsyncs
-  ProcessStore store(dir.string(), 0, opts,
+  ProcessStore store(dir.string(), 0, small_ring_opts(),
                      {fail, fault_of(StorageFault::Kind::kTruncate)});
   std::vector<StoreRecord> recs = records_upto(10);
-  for (const StoreRecord& r : recs) store.append(r.t, r.e);
+  for (const StoreRecord& r : recs) {
+    store.append(r.t, r.e);
+    store.flush();  // would normally sync everything
+  }
   EXPECT_GE(store.counters().sync_failures, 1u);
   Rng rng(11);
   store.apply_kill_faults(11, rng);
@@ -310,18 +295,19 @@ TEST(StoreProcess, SyncFailWindowSuppressesFsyncAndTruncateCollectsTheDebt) {
 
 TEST(StoreProcess, FaultsOutsideTheirWindowDoNotFire) {
   fs::path dir = fresh_dir("window");
-  StoreOptions opts;
-  opts.fsync = FsyncPolicy::kNever;  // maximally vulnerable
-  opts.snapshot_every = 100;
   StorageFault f = fault_of(StorageFault::Kind::kTruncate);
   f.begin = 100;
   f.end = 200;  // kill happens outside
-  ProcessStore store(dir.string(), 0, opts, {f});
+  // Never flushed: maximally vulnerable.
+  ProcessStore store(dir.string(), 0, small_ring_opts(), {f});
   std::vector<StoreRecord> recs = records_upto(10);
   for (const StoreRecord& r : recs) store.append(r.t, r.e);
   Rng rng(12);
   store.apply_kill_faults(/*kill_time=*/11, rng);
-  EXPECT_EQ(store.recover(), recs);  // page cache survived the process kill
+  // The page cache survived the process kill; the staged newest frame died
+  // with the process.
+  recs.pop_back();
+  EXPECT_EQ(store.recover(), recs);
   EXPECT_EQ(store.counters().storage_faults_injected, 0u);
   fs::remove_all(dir);
 }

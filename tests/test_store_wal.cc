@@ -4,7 +4,7 @@
 // arbitrary byte, a flipped byte, appended garbage — read_wal_file returns
 // exactly the longest valid frame prefix and never throws, because that
 // prefix is the suffix-loss model the recovery protocol (DESIGN.md §9) is
-// built on.
+// built on.  (test_store_segment.cc attacks a whole segment chain.)
 #include "udc/store/wal.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <fstream>
 #include <vector>
 
+#include "udc/common/check.h"
 #include "udc/common/rng.h"
 #include "udc/store/codec.h"
 #include "udc/store/crc32.h"
@@ -29,6 +30,9 @@ fs::path fresh_dir(const std::string& name) {
   fs::create_directories(d);
   return d;
 }
+
+// One segment holds every log below; the ring stages a few frames.
+constexpr WalOptions kOpts{/*segment_bytes=*/64 * 1024, /*ring_frames=*/16};
 
 void write_bytes(const fs::path& p, const std::vector<std::uint8_t>& bytes) {
   std::ofstream out(p, std::ios::binary | std::ios::trunc);
@@ -136,15 +140,19 @@ TEST(StoreWal, AppendedFramesReadBackInOrder) {
   fs::path dir = fresh_dir("roundtrip");
   std::string path = (dir / "p.wal").string();
   const std::vector<StoreRecord> recs = sample_records();
+  std::uint64_t written = 0;
   {
-    WalWriter w(path, FsyncPolicy::kEveryAppend, 1);
+    WalWriter w(path, kOpts);
     for (const StoreRecord& r : recs) w.append(r);
     EXPECT_EQ(w.frames_appended(), recs.size());
+    EXPECT_TRUE(w.commit());
     EXPECT_EQ(w.bytes_synced(), w.bytes_written());
+    EXPECT_EQ(w.frames_synced(), recs.size());
+    written = w.bytes_written();
   }
-  WalReadResult r = read_wal_file(path);
-  EXPECT_FALSE(r.tail_corrupt);
-  EXPECT_EQ(r.valid_bytes, r.file_bytes);
+  WalReadResult r = read_wal(path);
+  EXPECT_FALSE(r.tail_nonzero);  // only the preallocated zero tail follows
+  EXPECT_EQ(r.valid_bytes, written);
   ASSERT_EQ(r.records.size(), recs.size());
   for (std::size_t i = 0; i < recs.size(); ++i) {
     EXPECT_EQ(r.records[i], recs[i]);
@@ -163,36 +171,63 @@ TEST(StoreWal, ShortReadChunksSeeTheSameLog) {
   fs::path dir = fresh_dir("shortread");
   std::string path = (dir / "p.wal").string();
   const std::vector<StoreRecord> recs = sample_records();
-  WalWriter w(path, FsyncPolicy::kEveryAppend, 1);
+  WalWriter w(path, kOpts);
   for (const StoreRecord& r : recs) w.append(r);
+  w.commit();
   // A 3-byte read chunk splits every frame header; the reader must still
   // assemble the identical log.
-  WalReadResult full = read_wal_file(path);
-  WalReadResult chunked = read_wal_file(path, /*max_read_chunk=*/3);
+  WalReadResult full = read_wal(path);
+  WalReadResult chunked = read_wal(path, /*max_read_chunk=*/3);
+  EXPECT_EQ(full.records.size(), recs.size());
   EXPECT_EQ(chunked.records, full.records);
   EXPECT_EQ(chunked.valid_bytes, full.valid_bytes);
   fs::remove_all(dir);
 }
 
-TEST(StoreWal, FsyncPolicyGovernsTheSyncedWatermark) {
-  fs::path dir = fresh_dir("fsync");
+TEST(StoreWal, CommitGovernsTheSyncedWatermark) {
+  fs::path dir = fresh_dir("commit");
   std::string path = (dir / "p.wal").string();
   const std::vector<StoreRecord> recs = sample_records();
-  WalWriter w(path, FsyncPolicy::kEveryN, /*fsync_every=*/2);
+  WalWriter w(path, WalOptions{kOpts.segment_bytes, /*ring_frames=*/1});
   w.append(recs[0]);
-  EXPECT_LT(w.bytes_synced(), w.bytes_written());  // one frame unsynced
-  w.append(recs[1]);
-  EXPECT_EQ(w.bytes_synced(), w.bytes_written());  // batch of 2 flushed
+  EXPECT_EQ(w.bytes_written(), 0u);  // staged in the one-slot ring
+  w.append(recs[1]);  // the full ring drains itself first
+  EXPECT_GT(w.bytes_written(), 0u);
+  EXPECT_EQ(w.bytes_synced(), 0u);  // written, not synced
+  EXPECT_EQ(w.unsynced_frames(), 2);
+  EXPECT_TRUE(w.commit());  // drains the second frame, barriers both
+  EXPECT_EQ(w.bytes_synced(), w.bytes_written());
+  EXPECT_EQ(w.frames_synced(), 2u);
+  EXPECT_EQ(w.unsynced_frames(), 0);
+  EXPECT_FALSE(w.commit());  // nothing pending: an idle commit is free
   // A failing fsync is swallowed and counted; the watermark does not move.
   w.set_sync_failing(true);
   w.append(recs[2]);
   w.append(recs[3]);
+  EXPECT_TRUE(w.commit());
   EXPECT_LT(w.bytes_synced(), w.bytes_written());
+  EXPECT_EQ(w.frames_synced(), 2u);
   EXPECT_GE(w.sync_failures(), 1u);
-  // Once the device recovers an explicit sync catches up.
+  // Once the device recovers a commit catches up.
   w.set_sync_failing(false);
-  w.sync();
+  EXPECT_TRUE(w.commit());
   EXPECT_EQ(w.bytes_synced(), w.bytes_written());
+  EXPECT_EQ(w.frames_synced(), 4u);
+  fs::remove_all(dir);
+}
+
+TEST(StoreWal, ZeroOrRaggedSizesAreRejected) {
+  fs::path dir = fresh_dir("sizes");
+  std::string path = (dir / "p.wal").string();
+  EXPECT_THROW(WalWriter(path, WalOptions{0, kOpts.ring_frames}),
+               InvariantViolation);
+  EXPECT_THROW(WalWriter(path, WalOptions{kMaxWalFrameBytes - 1, 16}),
+               InvariantViolation);
+  EXPECT_THROW(WalWriter(path, WalOptions{kOpts.segment_bytes, 0}),
+               InvariantViolation);
+  EXPECT_THROW(WalWriter(path, WalOptions{kOpts.segment_bytes, 12}),
+               InvariantViolation);
+  EXPECT_TRUE(list_wal_segments(path).empty());  // nothing was created
   fs::remove_all(dir);
 }
 
@@ -201,21 +236,19 @@ TEST(StoreWal, RepairCutsACorruptTailAndIsIdempotent) {
   std::string path = (dir / "p.wal").string();
   const std::vector<StoreRecord> recs = sample_records();
   {
-    WalWriter w(path, FsyncPolicy::kEveryAppend, 1);
+    WalWriter w(path, kOpts);
     for (const StoreRecord& r : recs) w.append(r);
+    w.commit();
+    w.close();
+    // Torn write: a strict prefix of one more frame after the live data.
+    std::vector<std::uint8_t> frame = wal_frame(encode_record(recs[0]));
+    w.inject_torn_write(frame.data(), frame.size() / 2);
   }
-  // Torn write: a strict prefix of one more frame.
-  std::vector<std::uint8_t> frame = wal_frame(encode_record(recs[0]));
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    out.write(reinterpret_cast<const char*>(frame.data()),
-              static_cast<std::streamsize>(frame.size() / 2));
-  }
-  EXPECT_TRUE(read_wal_file(path).tail_corrupt);
-  EXPECT_TRUE(repair_wal_file(path));   // cut happened
-  EXPECT_FALSE(repair_wal_file(path));  // already clean
-  WalReadResult r = read_wal_file(path);
-  EXPECT_FALSE(r.tail_corrupt);
+  EXPECT_TRUE(read_wal(path).tail_nonzero);
+  EXPECT_TRUE(repair_wal(path));   // cut happened
+  EXPECT_FALSE(repair_wal(path));  // already clean
+  WalReadResult r = read_wal(path);
+  EXPECT_FALSE(r.tail_corrupt);  // the cut took the zero tail too
   ASSERT_EQ(r.records.size(), recs.size());
   fs::remove_all(dir);
 }

@@ -54,14 +54,14 @@ constexpr const char* kSleeps = "exec sleep 30";
 TEST(FleetSupervisor, ExitZeroIsClean) {
   const fs::path dir = fresh_dir("exit0");
   auto sup = start(2, dir, "exit 0");
-  EXPECT_TRUE(sup->finish(StoreOptions{}).clean_exits);
+  EXPECT_TRUE(sup->finish().clean_exits);
   fs::remove_all(dir);
 }
 
 TEST(FleetSupervisor, ExitThreeIsUnclean) {
   const fs::path dir = fresh_dir("exit3");
   auto sup = start(1, dir, "exit 3");
-  EXPECT_FALSE(sup->finish(StoreOptions{}).clean_exits);
+  EXPECT_FALSE(sup->finish().clean_exits);
   fs::remove_all(dir);
 }
 
@@ -70,7 +70,7 @@ TEST(FleetSupervisor, ASigkillTheSupervisorSentIsExcused) {
   auto sup = start(1, dir, kSleeps);
   sup->kill(0, /*relaunch=*/false);
   EXPECT_TRUE(sup->child(0).dead_for_good);
-  const FleetOutcome out = sup->finish(StoreOptions{});
+  const FleetOutcome out = sup->finish();
   EXPECT_TRUE(out.clean_exits);
   EXPECT_EQ(out.counters.crashes, 1u);
   fs::remove_all(dir);
@@ -87,7 +87,7 @@ TEST(FleetSupervisor, ARelaunchedIncarnationThatExitsOneIsUnclean) {
   sup->relaunch(0);
   EXPECT_EQ(sup->child(0).epoch, 1u);
   EXPECT_FALSE(sup->child(0).killed_by_us);
-  const FleetOutcome out = sup->finish(StoreOptions{});
+  const FleetOutcome out = sup->finish();
   EXPECT_FALSE(out.clean_exits);
   EXPECT_EQ(out.counters.crashes, 1u);
   EXPECT_EQ(out.counters.restarts, 1u);
@@ -98,7 +98,7 @@ TEST(FleetSupervisor, ANodeThatIgnoresKStopIsKilledAfterTheGraceAndUnclean) {
   const fs::path dir = fresh_dir("straggler");
   auto sup = start(1, dir, kSleeps);
   const auto t0 = std::chrono::steady_clock::now();
-  const FleetOutcome out = sup->finish(StoreOptions{});
+  const FleetOutcome out = sup->finish();
   const auto waited = std::chrono::steady_clock::now() - t0;
   EXPECT_FALSE(out.clean_exits);
   EXPECT_FALSE(sup->child(0).running);
@@ -117,7 +117,7 @@ TEST(FleetSupervisor, ANodeThatDiesOnItsOwnIsDeadForGood) {
     sup->reap_exited();
   }
   EXPECT_TRUE(sup->child(0).dead_for_good);
-  const FleetOutcome out = sup->finish(StoreOptions{});
+  const FleetOutcome out = sup->finish();
   EXPECT_FALSE(out.clean_exits);
   EXPECT_EQ(out.counters.crashes, 0u);  // not a chaos crash...
   const History& h = out.run->history(0);
@@ -130,10 +130,9 @@ TEST(FleetSupervisor, ANodeThatDiesOnItsOwnIsDeadForGood) {
 // never comes, node 2 exits cleanly: only node 0's history ends in kCrash.
 TEST(FleetSupervisor, TheLiftAppendsACrashOnlyForNodesDeadForGood) {
   const fs::path dir = fresh_dir("lift");
-  const StoreOptions store;
   std::size_t written = 0;
   for (ProcessId p = 0; p < 3; ++p) {
-    ProcessStore shard(dir.string(), p, store, {});
+    ProcessStore shard(dir.string(), p, mp_store_options(), {});
     const ActionId a = make_action(p, 0);
     shard.append(10 * (p + 1), Event::init(a));
     shard.append(10 * (p + 1) + 1, Event::do_action(a));
@@ -145,7 +144,7 @@ TEST(FleetSupervisor, TheLiftAppendsACrashOnlyForNodesDeadForGood) {
                    "*) exec sleep 30 ;; esac");
   sup->kill(0, /*relaunch=*/false);
   sup->kill(1, /*relaunch=*/true);
-  const FleetOutcome out = sup->finish(store);
+  const FleetOutcome out = sup->finish();
   EXPECT_TRUE(out.clean_exits);
   ASSERT_TRUE(out.run.has_value());
   const udc::Run& run = *out.run;

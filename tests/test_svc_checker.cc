@@ -172,5 +172,34 @@ TEST(SvcChecker, EmptyRunIsVacuouslyConformant) {
   EXPECT_EQ(rep.effective_applies, 0u);
 }
 
+// The kDo-to-service-log join: each kDo applies the last record of its
+// action, in kDo order, and a kDo with no record is reported, not applied.
+TEST(SvcReplicaJoin, EachKDoAppliesTheLastRecordOfItsActionInKDoOrder) {
+  SvcBatch first = batch(1, {write_op(7, 1, 0, 10)});
+  SvcBatch second = batch(2, {write_op(7, 2, 0, 20)});
+  SvcBatch retried = first;  // a later, higher-term acceptance
+  retried.term = 3;
+  retried.slot = 5;
+  const SvcReplicaJoin j =
+      join_do_order({second.action, first.action}, {first, second, retried});
+  ASSERT_EQ(j.applied.size(), 2u);
+  EXPECT_EQ(j.applied[0].slot, second.slot);
+  EXPECT_EQ(j.applied[1].slot, retried.slot);
+  EXPECT_EQ(j.applied[1].term, 3u);
+  EXPECT_TRUE(j.unbacked.empty());
+  EXPECT_EQ(j.last_record.size(), 2u);
+}
+
+TEST(SvcReplicaJoin, AKDoWithNoRecordIsUnbackedAndNotApplied) {
+  SvcBatch recorded = batch(1, {write_op(7, 1, 0, 10)});
+  const ActionId lost = make_action(0, 99);
+  const SvcReplicaJoin j =
+      join_do_order({lost, recorded.action}, {recorded});
+  ASSERT_EQ(j.applied.size(), 1u);
+  EXPECT_EQ(j.applied[0].action, recorded.action);
+  ASSERT_EQ(j.unbacked.size(), 1u);
+  EXPECT_EQ(j.unbacked[0], lost);
+}
+
 }  // namespace
 }  // namespace udc

@@ -1,7 +1,7 @@
-// SyncBarrier (store/sync_barrier.h): both engines report whether every
-// descriptor's data barrier landed.  The group committer counts a round as
-// durable only on success, so an engine that swallowed an fdatasync error
-// would advance the durable floor over data the disk never confirmed.
+// SyncBarrier (store/sync_barrier.h): the flusher pool reports whether
+// every descriptor's data barrier landed.  The group committer counts a
+// round as durable only on success, so a pool that swallowed an fdatasync
+// error would advance the durable floor over data the disk never confirmed.
 // fdatasync on a pipe fails with EINVAL, which makes a real failing
 // barrier without a faulty disk.
 #include "udc/store/sync_barrier.h"
@@ -50,26 +50,27 @@ class SyncBarrierEngines : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(SyncBarrierEngines, RegularFilesSync) {
-  auto barrier = SyncBarrier::make(GetParam());
-  EXPECT_TRUE(barrier->sync(files_));
-  EXPECT_TRUE(barrier->sync({files_[1]}));
-  EXPECT_TRUE(barrier->sync({}));
+  SyncBarrier barrier(GetParam());
+  EXPECT_TRUE(barrier.sync(files_));
+  EXPECT_TRUE(barrier.sync({files_[1]}));
+  EXPECT_TRUE(barrier.sync({}));
 }
 
 TEST_P(SyncBarrierEngines, ARoundWithAPipeFails) {
-  auto barrier = SyncBarrier::make(GetParam());
+  SyncBarrier barrier(GetParam());
   std::vector<int> round = files_;
   round.insert(round.begin() + 1, pipe_[1]);
-  EXPECT_FALSE(barrier->sync(round));
-  EXPECT_FALSE(barrier->sync({pipe_[1]}));
+  EXPECT_FALSE(barrier.sync(round));
+  EXPECT_FALSE(barrier.sync({pipe_[1]}));
   // The failure belongs to its round only.
-  EXPECT_TRUE(barrier->sync(files_));
+  EXPECT_TRUE(barrier.sync(files_));
 }
 
+// The parameter is the pool's thread count: the committer's.
 INSTANTIATE_TEST_SUITE_P(SyncBarrier, SyncBarrierEngines,
-                         ::testing::Values(1, 4),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return info.param == 1 ? "serial" : "pool";
+                         ::testing::Values(kFlusherThreads),
+                         [](const ::testing::TestParamInfo<int>&) {
+                           return "pool";
                          });
 
 }  // namespace

@@ -8,15 +8,15 @@
 //
 // Each run gets its own scratch directory under --dir (removed afterwards
 // unless --keep) and its own seed; protocols alternate strongfd/majority and
-// the durability mode cycles every-N / every-append / never / group-commit
-// (single-file batch) / group-commit (aggressive batch) / segmented+staged
-// (serial barrier) / segmented+staged (flusher pool), so the
-// truncate-to-synced fault exercises every loss window the store supports —
-// including "since the last group commit", per shard and per segment
-// (DESIGN.md §10-§11).
+// the store cycles through kArms (below), which commit at different paces
+// and on different segment sizes; what a kill loses is "since the last
+// group commit", per shard and per segment (DESIGN.md §9-§11).  Run i
+// pairs arm i % 7 with fault kind i % 5 and kills early or late by i % 2,
+// so a multiple of 35 runs covers every (arm, fault kind) pair and a
+// multiple of 70 covers each pair with both kill times.
 //
-//   build/tools/udc_recovery_soak                   # 50 runs, the CI soak
-//   build/tools/udc_recovery_soak --runs 50 --seed 1
+//   build/tools/udc_recovery_soak                   # 50 runs
+//   build/tools/udc_recovery_soak --runs 70 --seed 1  # the CI soak
 //
 // Exit 0 iff every run completed within budget, recovered from disk, and
 // passed the spec checkers; 1 otherwise; 2 on bad flags.
@@ -24,6 +24,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
+#include <limits>
 #include <string>
 
 #include "udc/chaos/fault_script.h"
@@ -121,6 +123,45 @@ Options parse(int argc, char** argv) try {
   usage();
 }
 
+// One store configuration of the soak.  The first three arms give the
+// committer no interval of its own, so only commit_every starts a round —
+// every 8 frames, every frame, or never — and a one-slot ring hands each
+// frame to the kernel on the next append, so a process kill keeps all but
+// the newest.  A round syncs every store, and run_live closes a killed
+// worker's store only at its restart, so the live workers' rounds sync the
+// victim's tail in between: only the never arm (or a drawn kSyncFail
+// window) leaves the machine-crash truncate a tail to cut.  The shipping
+// arm is StoreOptions{}; the last two add small segments, so every run
+// crosses several segment boundaries and kills land mid-segment and
+// mid-seal.
+struct StoreArm {
+  const char* name;
+  StoreOptions store;
+};
+
+constexpr std::chrono::microseconds kNoInterval = std::chrono::hours(1);
+constexpr int kNoKick = std::numeric_limits<int>::max();
+
+constexpr StoreArm kArms[] = {
+    {"every-8",
+     {.commit_every = 8, .commit_interval = kNoInterval, .ring_frames = 1}},
+    {"every-append",
+     {.commit_every = 1, .commit_interval = kNoInterval, .ring_frames = 1}},
+    {"never",
+     {.commit_every = kNoKick, .commit_interval = kNoInterval,
+      .ring_frames = 1}},
+    {"shipping", {}},
+    {"batch-4",
+     {.commit_every = 4, .commit_interval = std::chrono::microseconds(200)}},
+    {"segments",
+     {.commit_every = 16, .commit_interval = std::chrono::microseconds(300),
+      .segment_bytes = 1024, .ring_frames = 64}},
+    {"segments-4",
+     {.commit_every = 4, .commit_interval = std::chrono::microseconds(200),
+      .segment_bytes = 1024, .ring_frames = 32}},
+};
+constexpr int kArmCount = static_cast<int>(std::size(kArms));
+
 const char* fault_name(StorageFault::Kind k) {
   switch (k) {
     case StorageFault::Kind::kTornWrite: return "torn";
@@ -184,61 +225,8 @@ int main(int argc, char** argv) {
       forced.victim = victim;
       rt.script.storage_faults.push_back(forced);
 
-      // Cycle the durability level so truncate-to-synced bites differently:
-      // every-N leaves a short unsynced tail, every-append leaves none,
-      // never can lose the whole log, group commit loses exactly the batch
-      // since the last flush, and the segmented/staged arms lose that batch
-      // across segment boundaries (staged frames die with the process).
-      // Every knob the runtime's default store options now turn on is reset
-      // explicitly so each arm tests exactly one configuration.
-      const int durability = i % 7;
-      rt.store.group_commit = false;
-      rt.store.segment_bytes = 0;
-      rt.store.ring_frames = 0;
-      rt.store.flusher_threads = 4;
-      rt.store.commit_every = 32;
-      rt.store.commit_interval = std::chrono::microseconds(500);
-      switch (durability) {
-        case 0:
-          rt.store.fsync = FsyncPolicy::kEveryN;
-          rt.store.fsync_every = 8;
-          break;
-        case 1:
-          rt.store.fsync = FsyncPolicy::kEveryAppend;
-          break;
-        case 2:
-          rt.store.fsync = FsyncPolicy::kNever;
-          break;
-        case 3:
-          rt.store.group_commit = true;  // PR-5 single-file batch
-          break;
-        case 4:
-          rt.store.group_commit = true;  // aggressive batching
-          rt.store.commit_every = 4;
-          rt.store.commit_interval = std::chrono::microseconds(200);
-          break;
-        case 5:
-          // Segmented + staged, tiny segments so every run crosses several
-          // segment boundaries and kills land mid-segment and mid-seal;
-          // one flusher thread, so the barrier is the serial engine.
-          rt.store.group_commit = true;
-          rt.store.segment_bytes = 1024;
-          rt.store.ring_frames = 64;
-          rt.store.flusher_threads = 1;
-          rt.store.commit_every = 16;
-          rt.store.commit_interval = std::chrono::microseconds(300);
-          break;
-        case 6:
-          // Segmented + staged through the portable flusher pool, with a
-          // batch small enough that rounds race the kill constantly.
-          rt.store.group_commit = true;
-          rt.store.segment_bytes = 1024;
-          rt.store.ring_frames = 32;
-          rt.store.flusher_threads = 2;
-          rt.store.commit_every = 4;
-          rt.store.commit_interval = std::chrono::microseconds(200);
-          break;
-      }
+      const StoreArm& arm = kArms[i % kArmCount];
+      rt.store = arm.store;
       rt.store.snapshot_every = 24;  // small, to exercise rotation
       std::filesystem::path run_dir =
           std::filesystem::path(o.dir) / ("run-" + std::to_string(i));
@@ -254,9 +242,9 @@ int main(int argc, char** argv) {
       ok += (v.conformant && run_recovered) ? 1 : 0;
       if (!o.quiet) {
         std::printf(
-            "run %3d proto=%-8s fault=%-9s durability=%d seed=%llu status=%s "
+            "run %3d proto=%-8s fault=%-9s store=%-12s seed=%llu status=%s "
             "conformant=%d recovered=%d\n",
-            i, rt.protocol.c_str(), fault_name(forced.kind), durability,
+            i, rt.protocol.c_str(), fault_name(forced.kind), arm.name,
             static_cast<unsigned long long>(rt.seed),
             budget_status_name(v.status), v.conformant ? 1 : 0,
             run_recovered ? 1 : 0);
