@@ -11,7 +11,7 @@
 //     receive-then-record discipline so every lifted run passes R1-R4.
 //   * BM_DurableGroupCommit            — the same workload on the sharded
 //     recorder, with each event mirrored into the shipping ProcessStore
-//     (StoreOptions{}) and the GroupCommitter's flusher pool paying the
+//     (StoreOptions{}) and each store's own flusher thread paying its
 //     barriers, so the workers never wait on the disk.
 //   * BM_Lift{Serial,Sharded}          — latency of lift() on a prefilled
 //     recorder: the sharded merge must not give back what recording won.
@@ -38,7 +38,6 @@
 #include "udc/event/event.h"
 #include "udc/event/message.h"
 #include "udc/rt/record.h"
-#include "udc/store/group_commit.h"
 #include "udc/store/process_store.h"
 
 namespace udc {
@@ -204,11 +203,11 @@ void BM_DurableGroupCommit(benchmark::State& state) {
     }
     BenchSink sink(stores);
     TraceRecorder rec(n, &sink);
-    GroupCommitter committer;
-    for (auto& s : stores) committer.attach(s.get());
+    for (auto& s : stores) s->start_committer();
     state.ResumeTiming();
     events += drive(rec, n, sends);
-    committer.stop();  // the tail flush is part of the price
+    // The tail flush is part of the price.
+    for (auto& s : stores) s->stop_committer();
   }
   set_row(state, n, events);
 }

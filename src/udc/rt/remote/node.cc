@@ -272,7 +272,7 @@ NodeShell::NodeShell(const NodeIdentity& id, std::uint64_t wire_salt,
               hooks_.peer_up(peer);
             }
           }) {
-  committer_.attach(&store_);
+  store_.start_committer();
 }
 
 NodeShell::Started NodeShell::start(Hooks hooks) {
@@ -303,8 +303,7 @@ bool NodeShell::end_pass(Time now, std::chrono::steady_clock::time_point wall) {
 int NodeShell::finish() {
   // Make everything durable, report the final durable state with
   // done=true, give the frame a moment to drain, then tear down.
-  committer_.stop();
-  store_.flush();
+  store_.stop_committer();
   if (!orphaned_ && sup_up_.load(std::memory_order_relaxed)) {
     hooks_.status(true);
     std::this_thread::sleep_for(std::chrono::milliseconds(30));

@@ -47,7 +47,6 @@
 #include "udc/rt/remote/lamport.h"
 #include "udc/rt/remote/remote_transport.h"
 #include "udc/rt/runtime.h"
-#include "udc/store/group_commit.h"
 #include "udc/store/process_store.h"
 
 namespace udc {
@@ -120,7 +119,7 @@ int node_main(int argc, char** argv, const NodeFlagSpec& spec,
 
 // The OS-process half of a node.  Construction loads the fault script,
 // opens the store (recovering its durable prefix into mirror() when
-// epoch > 0), attaches the group committer, and builds the reactor; the
+// epoch > 0), builds the reactor and starts the store's committer; the
 // node then installs its shim and hooks, and start() goes live.  Its loop
 // ends every pass with end_pass() and returns finish().
 class NodeShell {
@@ -150,7 +149,6 @@ class NodeShell {
   ProcessStore& store() { return store_; }
   const std::vector<Event>& mirror() const { return mirror_; }
   LamportClock& clock() { return clock_; }
-  GroupCommitter& committer() { return committer_; }
   Reactor& reactor() { return reactor_; }
 
   // Records one event: Lamport tick, durable append, in-memory mirror (the
@@ -182,9 +180,9 @@ class NodeShell {
   // while the supervisor is up, the orphan watchdog.  False once orphaned.
   bool end_pass(Time now, std::chrono::steady_clock::time_point wall);
 
-  // Orderly exit: stop the committer, flush, send a final done status if
-  // the supervisor is up and we were not orphaned, drain 30 ms, stop the
-  // reactor.  Returns the exit code: 0 stopped, 3 orphaned.
+  // Orderly exit: stop the committer (a final flush), send a final done
+  // status if the supervisor is up and we were not orphaned, drain 30 ms,
+  // stop the reactor.  Returns the exit code: 0 stopped, 3 orphaned.
   int finish();
 
  private:
@@ -193,7 +191,6 @@ class NodeShell {
   ProcessStore store_;
   std::vector<Event> mirror_;
   LamportClock clock_;
-  GroupCommitter committer_;
   Hooks hooks_;
   std::vector<bool> refusing_;
   std::atomic<bool> sup_up_{false};

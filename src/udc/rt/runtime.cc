@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <thread>
 #include <utility>
@@ -19,7 +18,6 @@
 #include "udc/coord/udc_strongfd.h"
 #include "udc/rt/mailbox.h"
 #include "udc/rt/record.h"
-#include "udc/store/group_commit.h"
 #include "udc/store/process_store.h"
 
 namespace udc {
@@ -416,19 +414,12 @@ RtVerdict run_live(const RtOptions& opts) {
       }
       stores.push_back(std::make_unique<ProcessStore>(
           opts.durable_dir, p, opts.store, std::move(faults)));
+      // Each store syncs its own WAL on its own flusher, so the n stores'
+      // barriers overlap and none covers another's frames.
+      stores.back()->start_committer();
     }
   }
   Rng fault_rng(opts.seed ^ 0x73746f7265ULL);  // "store"
-
-  // Group commit: one flusher amortizes the fsync barriers across all
-  // stores, batching each round through the SyncBarrier pool.  Declared
-  // after the stores (it holds raw pointers into them) and stopped
-  // explicitly before counters are read.
-  std::optional<GroupCommitter> committer;
-  if (durable) {
-    committer.emplace();
-    for (auto& ps : stores) committer->attach(ps.get());
-  }
 
   TraceRecorder rec(opts.n, durable ? &sink : nullptr);
   Board board;
@@ -680,7 +671,7 @@ RtVerdict run_live(const RtOptions& opts) {
     if (w.thread.joinable()) w.thread.join();
   }
   transport.stop();
-  if (committer) committer->stop();  // final flush; counters now stable
+  for (auto& ps : stores) ps->stop_committer();  // final flush
 
   RtVerdict v;
   v.status = status;

@@ -107,10 +107,12 @@ struct RtOptions {
   // StorageFaults instead of from the in-memory trace.  Ignored when
   // restartable_crashes is false.
   //
-  // Appends never fsync inline: one GroupCommitter batches every store's
+  // Appends never fsync inline: each store's own committer batches its
   // barriers (DESIGN.md §10-§11), and seal/teardown force a final flush.
-  // A killed worker's store is closed only when the worker restarts, so
-  // until then the committer keeps syncing what the worker staged.
+  // A killed worker's store is closed only when the worker restarts, and
+  // its committer runs on in between: its interval syncs what the worker
+  // staged, but no other store's commit does, so a store whose interval
+  // never fires keeps the tail its last kick left unsynced.
   std::string durable_dir;
   StoreOptions store;
 

@@ -4,7 +4,6 @@
 
 #include "udc/common/check.h"
 #include "udc/store/codec.h"
-#include "udc/store/group_commit.h"
 
 namespace udc {
 
@@ -25,7 +24,7 @@ ProcessStore::ProcessStore(std::string dir, ProcessId p, StoreOptions opts,
   writer_ = make_writer();
 }
 
-ProcessStore::~ProcessStore() = default;
+ProcessStore::~ProcessStore() { stop_committer(); }
 
 std::shared_ptr<WalWriter> ProcessStore::make_writer() const {
   return std::make_shared<WalWriter>(
@@ -70,39 +69,9 @@ void ProcessStore::append(Time t, const Event& e) {
     ++frames_since_snapshot_;
     kick = unsynced >= static_cast<std::uint64_t>(opts_.commit_every);
   }
-  // Kick outside the store mutex: the committer's flusher takes the WAL
-  // drain lock next round, and holding mu_ here would stall the worker
-  // behind the batch.
-  if (kick && committer_ != nullptr) committer_->kick();
-}
-
-StoreCommitTicket ProcessStore::start_commit() {
-  StoreCommitTicket t;
-  t.store = this;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    t.writer = writer_;
-  }
-  // The drain (ring -> pwritev) happens under the WAL's own locks, NOT
-  // mu_, so appends contend only with the memcpy into the ring, never with
-  // the barrier.  The shared_ptr keeps the writer alive across a
-  // concurrent recover() swap; a closed writer yields a non-pending
-  // ticket.
-  if (t.writer == nullptr) return t;
-  t.wal = t.writer->start_commit();
-  return t;
-}
-
-void ProcessStore::finish_commit(StoreCommitTicket& t) {
-  if (!t.wal.pending) return;
-  // NO store mutex here, ever: the committer finishes a round's tickets
-  // while still holding the drain locks of the round's LATER pending
-  // stores, and the kill path (apply_kill_faults) holds mu_ while close()
-  // waits out a drain lock — taking mu_ here would close a lock-order
-  // cycle across stores.  The counters a round advances are atomics, and
-  // counters() derives sync_failures from the writer directly.
-  t.writer->finish_commit(t.wal);
-  group_commits_.fetch_add(1, std::memory_order_relaxed);
+  // Kick outside the store mutex: the woken flusher takes it first thing,
+  // to pin the writer.
+  if (kick && flusher_.joinable()) kick_committer();
 }
 
 void ProcessStore::flush() {
@@ -112,8 +81,51 @@ void ProcessStore::flush() {
     writer = writer_;
   }
   // The writer's own drain + barrier, under its drain lock (so it waits
-  // out a round in flight); a barrier that fails is counted there.
-  if (writer->commit()) group_commits_.fetch_add(1, std::memory_order_relaxed);
+  // out a flush in flight); a barrier that fails is counted there.  The
+  // shared_ptr keeps the writer alive across a concurrent recover() swap;
+  // a closed writer has nothing to commit.
+  if (!writer->commit()) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  ++counters_.group_commits;
+}
+
+void ProcessStore::start_committer() {
+  UDC_CHECK(!flusher_.joinable(), "ProcessStore: committer already started");
+  stopping_ = false;
+  flusher_ = std::thread([this] {
+    std::unique_lock<std::mutex> lock(commit_mu_);
+    while (!stopping_) {
+      commit_cv_.wait_for(lock, opts_.commit_interval,
+                          [this] { return stopping_ || kicked_; });
+      if (stopping_) break;
+      kicked_ = false;
+      lock.unlock();  // appends keep kicking while the barrier runs
+      flush();
+      lock.lock();
+    }
+  });
+}
+
+// The flag flips under commit_mu_: set between the flusher's predicate
+// check and its block on commit_cv_, an unlocked flip's notify would be
+// lost and the round would wait out a whole commit interval.
+void ProcessStore::kick_committer() {
+  {
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    kicked_ = true;
+  }
+  commit_cv_.notify_one();
+}
+
+void ProcessStore::stop_committer() {
+  if (!flusher_.joinable()) return;
+  {
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    stopping_ = true;
+  }
+  commit_cv_.notify_one();
+  flusher_.join();
+  flush();  // nothing staged survives an orderly stop unsynced
 }
 
 void ProcessStore::rotate_snapshot() {
@@ -229,12 +241,8 @@ std::vector<StoreRecord> ProcessStore::recover() {
 StoreCounters ProcessStore::counters() const {
   std::lock_guard<std::mutex> lock(mu_);
   StoreCounters c = counters_;
-  // Derived live rather than cached by the paths that change them: the
-  // committer's finish_commit must stay mutex-free (see there), so the
-  // writer's own atomic failure count and the round counter are folded in
-  // at read time.
+  // The writer counts its own failed barriers, under its drain lock.
   c.sync_failures = sync_failures_base_ + writer_->sync_failures();
-  c.group_commits = group_commits_.load(std::memory_order_relaxed);
   return c;
 }
 

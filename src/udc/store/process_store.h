@@ -18,35 +18,36 @@
 // and the kRejoin beacon (DESIGN.md §9).
 //
 // Durability (DESIGN.md §10-§11): append() NEVER fsyncs.  It stages the
-// frame in the WAL's fixed-slot ring (store/wal.h); a GroupCommitter
-// drains and barriers the batch once `commit_every` frames are unsynced or
-// `commit_interval` has passed, and flush() commits it at once — on seal,
-// at teardown, and at the service node's durable-send gate.  The WAL is a
-// chain of preallocated `segment_bytes` segments rotated off the append
-// path.  Staged frames live in user memory until the next commit, so the
-// loss window of ANY kill — plain process kill or machine-style kTruncate
-// — is "since the last group commit" (plus whatever the snapshot already
-// made durable); a plain kill keeps the frames a full ring drained itself.
+// frame in the WAL's fixed-slot ring (store/wal.h), and flush() drains and
+// barriers it.  The store's committer, one flusher thread of its own,
+// flushes once `commit_every` frames are unsynced or `commit_interval` has
+// passed; flush() also runs on seal, at teardown, and at the service
+// node's durable-send gate.  The WAL is a chain of preallocated
+// `segment_bytes` segments rotated off the append path.  Staged frames
+// live in user memory until the next commit, so the loss window of ANY
+// kill — plain process kill or machine-style kTruncate — is "since this
+// store's last commit" (plus whatever the snapshot already made durable);
+// a plain kill keeps the frames a full ring drained itself.  No other
+// store's commit covers this one's frames.
 //
-// Thread-safety: mu_ serializes append / rotate / kill / recover; the
-// commit path holds mu_ only long enough to pin the writer, then drains
-// and barriers under the WAL's own drain lock, so appends never wait out
-// an fdatasync.  Lock order: WITHIN one store, mu_ before drain before
-// ring; ACROSS stores, the committer holds many drain locks at once (in
-// attach order) and therefore must never take any store's mu_ while it
-// does — finish_commit is mutex-free by design.  flush()
-// arrives on the committer's flusher thread, on seal, or from the service
-// node's worker (its durable-send gate); apply_kill_faults() / recover()
-// on the supervisor thread strictly after the worker is joined.
+// Thread-safety: mu_ serializes append / rotate / kill / recover; flush()
+// holds mu_ only long enough to pin the writer, then drains and barriers
+// under the WAL's own drain lock, so appends never wait out an fdatasync.
+// Lock order: mu_ before drain before ring; commit_mu_ (the flusher's
+// wake-up state) is taken alone.  flush() arrives on the store's flusher
+// thread, on seal, or from the service node's worker (its durable-send
+// gate); apply_kill_faults() / recover() on the supervisor thread strictly
+// after the worker is joined.
 #pragma once
 
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "udc/chaos/fault_script.h"
@@ -56,9 +57,6 @@
 #include "udc/store/wal.h"
 
 namespace udc {
-
-class GroupCommitter;
-class ProcessStore;
 
 // The defaults are the shipping store's (run_live's).  Tests shrink the
 // sizes to reach segment rotation, ring self-drain and compaction.
@@ -84,49 +82,42 @@ struct StoreCounters {
   std::size_t group_commits = 0;         // flushes that found pending work
 };
 
-// One store's leg of a batched commit round; see GroupCommitter::round().
-// Holds the writer alive (against a concurrent recover() swap) and, while
-// `wal.pending`, the writer's drain lock.
-struct StoreCommitTicket {
-  ProcessStore* store = nullptr;
-  std::shared_ptr<WalWriter> writer;
-  WalCommitTicket wal;
-};
-
 class ProcessStore {
  public:
   // `faults` are the (already sanitized) storage faults aimed at this
   // process (victim == p or kInvalidProcess).
   ProcessStore(std::string dir, ProcessId p, StoreOptions opts,
                std::vector<StorageFault> faults);
-  ~ProcessStore();
+  ~ProcessStore();  // stop_committer()
 
   ProcessStore(const ProcessStore&) = delete;
   ProcessStore& operator=(const ProcessStore&) = delete;
 
   // Durably appends the event recorded at tick t.  kSyncFail windows are
   // evaluated against t; snapshot rotation happens here too.  The frame is
-  // staged, not fsynced; the committer is kicked once commit_every frames
+  // staged, not fsynced; the flusher is kicked once commit_every frames
   // are pending.
   void append(Time t, const Event& e);
 
-  // Commits the unsynced WAL tail, if any: drain + barrier.  Called
-  // on seal (flush_on_seal), by the service node's durable-send gate, at
-  // teardown, and by tests; the committer's batched rounds use
-  // start_commit/finish_commit instead.  A round in flight holds the drain
-  // lock, so a concurrent flush() first waits it out, then barriers only
-  // what that round did not cover: on return, every frame appended before
-  // the call is durable — unless the barrier failed (a kSyncFail window or
-  // an fdatasync error), which is counted in sync_failures and leaves the
-  // durable floor where it was.
+  // Commits the unsynced WAL tail, if any: drain + barrier.  Run by the
+  // store's flusher, on seal (flush_on_seal), by the service node's
+  // durable-send gate, at teardown, and by tests.  A flush in flight holds
+  // the drain lock, so a concurrent flush() first waits it out, then
+  // barriers only what that one did not cover: on return, every frame
+  // appended before the call is durable — unless the barrier failed (a
+  // kSyncFail window or an fdatasync error), which is counted in
+  // sync_failures and leaves the durable floor where it was.
   void flush();
 
-  // Two-phase commit for GroupCommitter::round().  start_commit pins the
-  // writer and drains its staged frames; if the ticket is pending, the
-  // caller must barrier ticket.wal.fds and then call finish_commit exactly
-  // once.
-  StoreCommitTicket start_commit();
-  void finish_commit(StoreCommitTicket& t);
+  // The store's committer: one flusher thread that runs flush() when
+  // append() finds commit_every frames unsynced or commit_interval has
+  // passed since its last round.  stop_committer() joins the thread, then
+  // flushes; it is idempotent, and a no-op for a store whose committer
+  // never started.  Neither call may race append().
+  void start_committer();
+  void stop_committer();
+  // Wakes the flusher ahead of schedule.
+  void kick_committer();
 
   // Applies every at-kill fault (torn write / truncate / bit flip) whose
   // window contains `kill_time` to the on-disk WAL, and arms short-read
@@ -138,21 +129,16 @@ class ProcessStore {
   // writer, and returns the recovered event prefix in tick order.
   std::vector<StoreRecord> recover();
 
-  // Counters are read after the run quiesces (workers joined, committer
-  // stopped); the snapshot is taken under the store mutex.
+  // A snapshot taken under the store mutex; final once the workers are
+  // joined and the committer stopped.
   StoreCounters counters() const;
 
   // Records guaranteed to survive ANY kill at this instant: what the
   // snapshot covers plus every WAL frame a successful barrier has covered
   // since.  recover() must return at least this many records (and at most
-  // everything appended) — the "loss window is since the last group
-  // commit" property, asserted by the concurrent commit tests.
+  // everything appended) — the "loss window is since this store's last
+  // commit" property, asserted by the commit tests.
   std::size_t durable_floor() const;
-
-  std::chrono::microseconds commit_interval() const {
-    return opts_.commit_interval;
-  }
-  void set_committer(GroupCommitter* c) { committer_ = c; }
 
   std::string wal_path() const;
   std::string snapshot_path() const;
@@ -165,7 +151,6 @@ class ProcessStore {
   ProcessId p_;
   StoreOptions opts_;
   std::vector<StorageFault> faults_;
-  GroupCommitter* committer_ = nullptr;
 
   mutable std::mutex mu_;
   std::shared_ptr<WalWriter> writer_;
@@ -175,10 +160,12 @@ class ProcessStore {
   std::size_t sync_failures_base_ = 0;  // from writers already retired
   bool short_read_armed_ = false;
   StoreCounters counters_;
-  // Advanced by finish_commit WITHOUT mu_ (the committer holds other
-  // stores' drain locks at that point); folded into counters() at read
-  // time alongside the writer's own sync-failure count.
-  std::atomic<std::size_t> group_commits_{0};
+
+  std::mutex commit_mu_;  // guards kicked_ and stopping_
+  std::condition_variable commit_cv_;
+  bool kicked_ = false;
+  bool stopping_ = false;
+  std::thread flusher_;
 };
 
 }  // namespace udc

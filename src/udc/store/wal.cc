@@ -414,72 +414,35 @@ std::uint64_t WalWriter::append(const StoreRecord& r) {
 }
 
 bool WalWriter::commit() {
-  // The one-store round: drain, then barrier the sealed segments and the
-  // active one.  A scripted kSyncFail window is the firmware-lies failure
-  // mode: the kernel accepted the writes but the barrier did nothing.
+  // Drain, then barrier the sealed segments and the active one.  A scripted
+  // kSyncFail window is the firmware-lies failure mode: the kernel accepted
+  // the writes but the barrier did nothing.
   std::lock_guard<std::mutex> dl(drain_mu_);
   if (!is_open()) return false;
   drain_locked();
-  if (!pending_locked()) return false;
+  const std::uint64_t bytes = written_.load(std::memory_order_relaxed);
+  if (bytes == synced_.load(std::memory_order_relaxed) &&
+      sealed_unsynced_.empty()) {
+    return false;
+  }
   bool synced = !sync_failing_.load(std::memory_order_relaxed);
   for (int fd : sealed_unsynced_) synced = synced && datasync(fd) == 0;
   if (fd_ >= 0) synced = synced && datasync(fd_) == 0;
-  settle_locked(synced, written_.load(std::memory_order_relaxed),
-                written_frames_.load(std::memory_order_relaxed));
-  return true;
-}
-
-bool WalWriter::pending_locked() const {
-  return written_.load(std::memory_order_relaxed) >
-             synced_.load(std::memory_order_relaxed) ||
-         !sealed_unsynced_.empty();
-}
-
-void WalWriter::settle_locked(bool synced, std::uint64_t bytes,
-                              std::uint64_t frames) {
   // A barrier that did not land advances nothing: the watermark stays, the
-  // sealed fds stay queued, and the next round barriers them again.
+  // sealed fds stay queued, and the next commit barriers them again.
   if (!synced) {
     sync_failures_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return true;
   }
   for (int fd : sealed_unsynced_) ::close(fd);
   sealed_unsynced_.clear();
-  const std::uint64_t delta =
-      frames - synced_frames_.load(std::memory_order_relaxed);
+  const std::uint64_t frames = written_frames_.load(std::memory_order_relaxed);
+  synced_frames_cum_.fetch_add(
+      frames - synced_frames_.load(std::memory_order_relaxed),
+      std::memory_order_relaxed);
   synced_.store(bytes, std::memory_order_relaxed);
   synced_frames_.store(frames, std::memory_order_relaxed);
-  synced_frames_cum_.fetch_add(delta, std::memory_order_relaxed);
-}
-
-WalCommitTicket WalWriter::start_commit() {
-  WalCommitTicket t;
-  t.lock = std::unique_lock<std::mutex>(drain_mu_);
-  if (!is_open()) {
-    t.lock.unlock();
-    return t;
-  }
-  drain_locked();
-  t.pending = pending_locked();
-  if (!t.pending) {
-    t.lock.unlock();
-    return t;
-  }
-  t.sync_failing = sync_failing_.load(std::memory_order_relaxed);
-  t.target_bytes = written_.load(std::memory_order_relaxed);
-  t.target_frames = written_frames_.load(std::memory_order_relaxed);
-  if (!t.sync_failing) {
-    t.fds = sealed_unsynced_;
-    if (fd_ >= 0) t.fds.push_back(fd_);
-  }
-  return t;  // drain lock stays held until finish_commit
-}
-
-void WalWriter::finish_commit(WalCommitTicket& t) {
-  UDC_CHECK(t.pending && t.lock.owns_lock(),
-            "WalWriter: finish_commit without a pending ticket");
-  settle_locked(!t.sync_failing, t.target_bytes, t.target_frames);
-  t.lock.unlock();
+  return true;
 }
 
 void WalWriter::truncate_all() {

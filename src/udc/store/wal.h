@@ -29,13 +29,13 @@
 //     the last write and the ftruncate) is skipped so later synced segments
 //     still count.
 //   * appends encode the frame IN PLACE into a fixed-slot ring buffer (zero
-//     heap allocations, no syscall); a commit — a group-commit round or
-//     ProcessStore::flush() — drains the ring with one write per segment
-//     and then barriers it.  A full ring drains itself on the appender's
-//     thread, so a small ring puts frames in the page cache, written but
-//     unsynced, within a few appends.  Staged-but-undrained frames live
-//     only in user memory: a plain process kill loses them, and a
-//     machine-style kTruncate loses everything since the last commit.
+//     heap allocations, no syscall); commit(), which ProcessStore::flush()
+//     runs, drains the ring with one write per segment and then barriers
+//     it.  A full ring drains itself on the appender's thread, so a small
+//     ring puts frames in the page cache, written but unsynced, within a
+//     few appends.  Staged-but-undrained frames live only in user memory:
+//     a plain process kill loses them, and a machine-style kTruncate
+//     loses everything since the last commit.
 //
 // The writer tracks the append/drain/sync ladder in frames and bytes:
 // appended (logical, includes staged) >= written (handed to the OS) >=
@@ -178,23 +178,6 @@ struct WalOptions {
   std::size_t ring_frames = 0;      // staging ring slots, a power of two
 };
 
-// Move-only handle for a two-phase group commit round.  start_commit()
-// drains the ring (one pwritev per batch) and hands back the fds that still
-// need a durability barrier while HOLDING the writer's drain lock, so the
-// group committer can batch the fdatasyncs of many stores into one
-// thread-pool round and only then let each
-// writer advance its synced watermark via finish_commit().
-struct WalCommitTicket {
-  std::unique_lock<std::mutex> lock;  // the writer's drain mutex
-  std::vector<int> fds;               // need fdatasync (empty if failing)
-  bool pending = false;               // there was staged or unsynced work
-  // No barrier lands this round: a scripted kSyncFail window (set by
-  // start_commit) or a barrier that reported failure (set by the caller).
-  bool sync_failing = false;
-  std::uint64_t target_frames = 0;    // synced watermark if the barrier lands
-  std::uint64_t target_bytes = 0;
-};
-
 class WalWriter {
  public:
   // Opens (creating if needed) and appends at the end.  Throws
@@ -210,22 +193,17 @@ class WalWriter {
   // a successful barrier (same value as unsynced_frames(), computed without
   // extra atomic traffic — callers use it as the group-commit kick signal).
   // At most ONE thread may append at a time (ProcessStore's mutex provides
-  // this); appends may overlap freely with commit/start_commit/drain, but
-  // not with truncate_all() or close().
+  // this); appends may overlap freely with commit(), but not with
+  // truncate_all() or close().
   std::uint64_t append(const StoreRecord& r);
 
-  // Drain + barrier for everything appended.  Returns true iff there was
+  // Drain + barrier for everything appended: the sealed segments awaiting
+  // their deferred sync, then the active one.  Returns true iff there was
   // pending (staged or unsynced) work.  A barrier that does not land — a
   // scripted kSyncFail window, or fdatasync reporting an error — is counted
-  // in sync_failures and advances nothing.
+  // in sync_failures and advances nothing: the synced watermark stays and
+  // the sealed fds wait for the next commit.
   bool commit();
-
-  // Two-phase commit for the batched group-commit round; see
-  // WalCommitTicket.  finish_commit must be called exactly once per ticket
-  // with pending == true; a ticket whose barrier failed keeps the synced
-  // watermark and the sealed fds for the next round.
-  WalCommitTicket start_commit();
-  void finish_commit(WalCommitTicket& t);
 
   void set_sync_failing(bool failing) {
     sync_failing_.store(failing, std::memory_order_relaxed);
@@ -254,8 +232,9 @@ class WalWriter {
     return sync_failures_.load(std::memory_order_relaxed);
   }
   // Frames appended (staged or written) but not yet covered by a
-  // successful barrier — what a group committer looks at to decide whether
-  // a batch is due, and what a machine-style crash at this instant loses.
+  // successful barrier — what the store's committer looks at to decide
+  // whether a batch is due, and what a machine-style crash at this instant
+  // loses.
   int unsynced_frames() const {
     return static_cast<int>(
         appended_frames_.load(std::memory_order_relaxed) -
@@ -294,9 +273,6 @@ class WalWriter {
   // to the active segment, rotating as capacity runs out.  drain_mu_ held.
   void write_ring_frames_locked(std::uint64_t from, std::uint64_t frames);
   void drain_locked();  // drain_mu_ held
-  bool pending_locked() const;
-  // Settles a barrier round covering (bytes, frames); drain_mu_ held.
-  void settle_locked(bool synced, std::uint64_t bytes, std::uint64_t frames);
   std::uint8_t* ring_slot(std::uint64_t i) {
     // ring_frames is checked to be a power of two at construction, so the
     // wrap is a mask, not a division — this sits on the per-append path.

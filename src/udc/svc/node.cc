@@ -57,7 +57,6 @@ struct SvcMail {
 int run_svc_node(const SvcNodeOptions& opts) {
   NodeShell shell(opts, 0x73766377ull, /*accept_clients=*/true);  // "svcw"
   ProcessStore& store = shell.store();
-  GroupCommitter& committer = shell.committer();
   LamportClock& clock = shell.clock();
   Reactor& reactor = shell.reactor();
 
@@ -279,7 +278,7 @@ int run_svc_node(const SvcNodeOptions& opts) {
     slog.write(b);
     shell.record(Event::init(b.action));
     seal_gate[slot] = shell.mirror_len();
-    committer.kick();
+    store.kick_committer();
     slog.sync();
     UDC_CHECK(log.accept(b), "svc node: own seal refused");
     log.ack(slot, opts.id);

@@ -1,12 +1,13 @@
-// GroupCommitter + ProcessStore (store/group_commit.h, DESIGN.md §10):
-// fsync stays off the append path, in batched background rounds.  The
-// semantic claim under test: what a machine-style crash (the kTruncate
-// storage fault, which cuts the WAL back to bytes_synced) can lose is
-// exactly the unflushed SUFFIX — nothing after a flush, everything
-// appended since the last one otherwise.  Plus the plumbing:
-// commit_every kicks the flusher early, stop() is a final barrier, and idle
+// ProcessStore's committer (store/process_store.h, DESIGN.md §10): fsync
+// stays off the append path, in batched background rounds on the store's
+// own flusher thread.  The semantic claim under test: what a machine-style
+// crash (the kTruncate storage fault, which cuts the WAL back to
+// bytes_synced) can lose is exactly the unflushed SUFFIX of that store —
+// nothing after a flush, everything appended since the last one otherwise,
+// whatever other stores commit meanwhile.  Plus the plumbing: commit_every
+// kicks the flusher early, stop_committer() is a final barrier, and idle
 // flushes are free.
-#include "udc/store/group_commit.h"
+#include "udc/store/process_store.h"
 
 #include <gtest/gtest.h>
 
@@ -20,7 +21,6 @@
 #include "udc/chaos/fault_script.h"
 #include "udc/common/rng.h"
 #include "udc/event/event.h"
-#include "udc/store/process_store.h"
 
 namespace udc {
 namespace {
@@ -93,14 +93,13 @@ TEST(GroupCommit, CommitEveryKicksTheFlusherAheadOfTheInterval) {
   ProcessStore store(fresh_dir("kick").string(), 0,
                      gc_opts(/*commit_every=*/4, std::chrono::seconds(100)),
                      {});
-  GroupCommitter committer;
-  committer.attach(&store);
+  store.start_committer();
   // Four frames reach commit_every; the kick must beat the 100 s interval
   // by roughly five orders of magnitude.
   for (Time t = 1; t <= 4; ++t) store.append(t, Event::do_action(1));
   EXPECT_TRUE(wait_for([&] { return store.counters().group_commits >= 1; },
                        std::chrono::milliseconds(5'000)));
-  committer.stop();
+  store.stop_committer();
 }
 
 TEST(GroupCommit, QuietStoresFlushByIntervalAndIdleFlushesAreFree) {
@@ -108,8 +107,7 @@ TEST(GroupCommit, QuietStoresFlushByIntervalAndIdleFlushesAreFree) {
                      gc_opts(/*commit_every=*/1'000'000,
                              std::chrono::microseconds(500)),
                      {});
-  GroupCommitter committer;
-  committer.attach(&store);
+  store.start_committer();
   store.append(1, Event::do_action(1));  // one frame, far below commit_every
   EXPECT_TRUE(wait_for([&] { return store.counters().group_commits >= 1; },
                        std::chrono::milliseconds(5'000)));
@@ -118,7 +116,7 @@ TEST(GroupCommit, QuietStoresFlushByIntervalAndIdleFlushesAreFree) {
   const std::size_t settled = store.counters().group_commits;
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(store.counters().group_commits, settled);
-  committer.stop();
+  store.stop_committer();
 }
 
 TEST(GroupCommit, StopIsAFinalBarrier) {
@@ -128,10 +126,9 @@ TEST(GroupCommit, StopIsAFinalBarrier) {
     ProcessStore store(dir.string(), 0,
                        gc_opts(1'000'000, std::chrono::seconds(100)),
                        {truncate_fault()});
-    GroupCommitter committer;
-    committer.attach(&store);
+    store.start_committer();
     for (Time t = 1; t <= 3; ++t) store.append(t, Event::do_action(1));
-    committer.stop();  // must flush the 3-frame tail
+    store.stop_committer();  // must flush the 3-frame tail
     store.apply_kill_faults(/*kill_time=*/4, rng);
     EXPECT_EQ(store.recover().size(), 3u);
   }
@@ -139,7 +136,7 @@ TEST(GroupCommit, StopIsAFinalBarrier) {
 
 TEST(GroupCommit, FlushJoinsOrRunsARoundWhileTheFlusherRuns) {
   // The service's durable-send gate: a worker appends a kInit, kicks the
-  // committer, then flush()es.  Under the WAL drain lock that flush either
+  // flusher, then flush()es.  Under the WAL drain lock that flush either
   // joins the round the kick started or runs its own; either way it may
   // return only once the durable floor covers every frame appended before
   // the call.  The long interval leaves the kicks as the flusher's only
@@ -148,8 +145,7 @@ TEST(GroupCommit, FlushJoinsOrRunsARoundWhileTheFlusherRuns) {
                      gc_opts(/*commit_every=*/1'000'000,
                              std::chrono::seconds(100)),
                      {});
-  GroupCommitter committer;
-  committer.attach(&store);
+  store.start_committer();
   int uncovered = 0;
   std::thread worker([&] {
     Rng rng(11);
@@ -160,26 +156,54 @@ TEST(GroupCommit, FlushJoinsOrRunsARoundWhileTheFlusherRuns) {
         ++appended;
         store.append(static_cast<Time>(appended), Event::do_action(1));
       }
-      committer.kick();
+      store.kick_committer();
       if (rng.next_below(2) == 0) std::this_thread::yield();
       store.flush();
       if (store.durable_floor() < appended) ++uncovered;
     }
   });
   worker.join();
-  committer.stop();
+  store.stop_committer();
   EXPECT_EQ(uncovered, 0);
 }
 
 TEST(GroupCommit, StopIsIdempotent) {
   ProcessStore store(fresh_dir("idem").string(), 0,
                      gc_opts(8, std::chrono::microseconds(500)), {});
-  GroupCommitter committer;
-  committer.attach(&store);
+  store.start_committer();
   store.append(1, Event::do_action(1));
-  committer.stop();
-  committer.stop();  // second stop: no deadlock, no double-join
-  SUCCEED();
+  store.stop_committer();
+  store.stop_committer();  // second stop: no deadlock, no double-join
+  EXPECT_EQ(store.durable_floor(), 1u);
+}
+
+// Each store's loss window is its own: a round that store A's commit_every
+// kicks syncs A's WAL and nothing else, so B — which appended before A
+// and never reached its own commit_every — keeps its written tail
+// unsynced, and a machine crash of B cuts it.  (With one flusher syncing
+// every attached store, A's round would have covered B's frames too.)
+TEST(GroupCommit, AStoreCommitsOnlyItsOwnFrames) {
+  Rng rng(13);
+  const fs::path dir = fresh_dir("own_window");
+  StoreOptions o = gc_opts(/*commit_every=*/8, std::chrono::hours(1));
+  o.ring_frames = 1;  // each append drains the frame before it
+  ProcessStore a(dir.string(), 0, o, {truncate_fault()});
+  ProcessStore b(dir.string(), 1, o, {truncate_fault()});
+  a.start_committer();
+  b.start_committer();
+  for (Time t = 1; t <= 3; ++t) b.append(t, Event::do_action(1));
+  for (Time t = 1; t <= 20; ++t) a.append(t, Event::do_action(1));
+  // Every append that finds 8 frames unsynced kicks, so A's rounds leave
+  // at most 7 of its 20 frames behind.
+  ASSERT_TRUE(wait_for([&] { return a.durable_floor() >= 13; },
+                       std::chrono::milliseconds(5'000)));
+  EXPECT_EQ(b.durable_floor(), 0u);
+  b.apply_kill_faults(/*kill_time=*/4, rng);
+  EXPECT_EQ(b.counters().storage_faults_injected, 1u);
+  EXPECT_TRUE(b.recover().empty());
+  a.stop_committer();
+  b.stop_committer();
+  fs::remove_all(dir);
 }
 
 }  // namespace

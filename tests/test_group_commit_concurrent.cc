@@ -1,16 +1,17 @@
-// Concurrent group-commit property test (store/group_commit.h, DESIGN.md
+// Concurrent group-commit property test (store/process_store.h, DESIGN.md
 // §11), built to run under TSan: many stores append from their own worker
-// threads while ONE committer batches their barriers, a scripted kSyncFail
-// window poisons barriers mid-run, and the workers are then hard-killed
-// under the machine-crash kTruncate fault WHILE the committer is still
-// live.  The property under test is the loss-window contract:
+// threads while each store's own committer batches its barriers, a
+// scripted kSyncFail window poisons barriers mid-run, and the workers are
+// then hard-killed under the machine-crash kTruncate fault WHILE the
+// committers are still live.  The property under test is the loss-window
+// contract:
 //
 //   durable_floor() <= |recover()| <= frames appended,
 //   and recover() is an EXACT PREFIX of what was appended
 //
-// — i.e. what any kill loses is "since the last successful group commit",
+// — i.e. what any kill loses is "since the store's last successful commit",
 // never a hole, never a reordering, never anything a barrier already
-// covered, with the batched fdatasyncs raced through the SyncBarrier pool.
+// covered, with n flushers' fdatasyncs racing one another.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -25,7 +26,6 @@
 #include "udc/chaos/fault_script.h"
 #include "udc/common/rng.h"
 #include "udc/event/event.h"
-#include "udc/store/group_commit.h"
 #include "udc/store/process_store.h"
 
 namespace udc {
@@ -57,25 +57,14 @@ Event event_at(ProcessId self, Time t) {
   }
 }
 
-// The barrier engine the cases run on: the committer's flusher pool, the
-// one engine there is.  16 bytes with no padding: gtest prints the raw
-// bytes into the test name.
-struct SweepCase {
-  std::int64_t pool_threads;
-  const char* name;
-};
-
-class GroupCommitConcurrent : public ::testing::TestWithParam<SweepCase> {};
-
 // The full pipeline under fire: 8 stores x 8 workers, staged rings, small
 // segments (so rotation happens mid-run), snapshot rotation interleaved,
 // a kSyncFail window over the middle third, then kill-under-committer and
 // the prefix/floor assertions per store.
-TEST_P(GroupCommitConcurrent, KillMidBatchLosesAtMostSinceLastCommit) {
+TEST(GroupCommitConcurrent, KillMidBatchLosesAtMostSinceLastCommit) {
   const int n = 8;
   const Time kEvents = 600;
-  const SweepCase param = GetParam();
-  auto dir = fresh_dir(std::string("kill_") + param.name);
+  auto dir = fresh_dir("kill");
 
   StoreOptions o;
   o.segment_bytes = 4 * 1024;  // many rotations across 600 frames
@@ -98,9 +87,7 @@ TEST_P(GroupCommitConcurrent, KillMidBatchLosesAtMostSinceLastCommit) {
     stores.push_back(std::make_unique<ProcessStore>(
         dir.string(), p, o, std::vector<StorageFault>{trunc, sync_fail}));
   }
-  ASSERT_EQ(param.pool_threads, kFlusherThreads);
-  GroupCommitter committer;
-  for (auto& s : stores) committer.attach(s.get());
+  for (auto& s : stores) s->start_committer();
 
   {
     std::vector<std::thread> workers;
@@ -116,7 +103,7 @@ TEST_P(GroupCommitConcurrent, KillMidBatchLosesAtMostSinceLastCommit) {
           // rotation empties the WAL, and idle failing rounds are
           // (correctly) not counted.  The round is guaranteed to come:
           // ~100 frames are staged since the last rotation, well past
-          // commit_every, so the committer has already been kicked.
+          // commit_every, so this store's flusher has already been kicked.
           if (t == kEvents / 2 - 50) {
             const auto deadline =
                 std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -131,17 +118,17 @@ TEST_P(GroupCommitConcurrent, KillMidBatchLosesAtMostSinceLastCommit) {
     for (auto& w : workers) w.join();
   }
 
-  // Floors are read while the committer is STILL RUNNING — they only grow,
-  // so each remains a valid lower bound for its store's recovery.
+  // Floors are read while the committers are STILL RUNNING — they only
+  // grow, so each remains a valid lower bound for its store's recovery.
   std::vector<std::size_t> floors;
   for (auto& s : stores) floors.push_back(s->durable_floor());
 
-  // Kill every store under the live committer: close() must wait out any
-  // in-flight drain, a round that pinned a now-closed writer must see a
-  // non-pending ticket, and nothing may deadlock or race.  Only then stop.
+  // Kill every store under its live committer: close() must wait out any
+  // in-flight drain, a flush that pinned a now-closed writer must find
+  // nothing to commit, and nothing may deadlock or race.  Only then stop.
   Rng rng(20260808);
   for (auto& s : stores) s->apply_kill_faults(kEvents + 1, rng);
-  committer.stop();
+  for (auto& s : stores) s->stop_committer();
 
   std::size_t sync_failures = 0;
   for (ProcessId p = 0; p < n; ++p) {
@@ -167,13 +154,12 @@ TEST_P(GroupCommitConcurrent, KillMidBatchLosesAtMostSinceLastCommit) {
   fs::remove_all(dir);
 }
 
-// A full ring is the only backpressure on the append fast path: with the
-// committer's kicks disabled (huge commit_every / interval), the appender
-// itself must take the drain lock and empty the ring — and everything it
-// drained plus a final flush must survive the machine-crash truncate.
-TEST_P(GroupCommitConcurrent, FullRingSelfDrainThenFlushIsCrashProof) {
-  const SweepCase param = GetParam();
-  auto dir = fresh_dir(std::string("ring_") + param.name);
+// A full ring is the only backpressure on the append fast path: with no
+// committer running, the appender itself must take the drain lock and
+// empty the ring — and everything it drained plus a final flush must
+// survive the machine-crash truncate.
+TEST(GroupCommitConcurrent, FullRingSelfDrainThenFlushIsCrashProof) {
+  auto dir = fresh_dir("ring");
   StoreOptions o;
   o.segment_bytes = 2 * 1024;
   o.ring_frames = 8;  // overflows every few appends
@@ -194,13 +180,6 @@ TEST_P(GroupCommitConcurrent, FullRingSelfDrainThenFlushIsCrashProof) {
   }
   fs::remove_all(dir);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, GroupCommitConcurrent,
-    ::testing::Values(SweepCase{kFlusherThreads, "pool"}),
-    [](const ::testing::TestParamInfo<SweepCase>& info) {
-      return info.param.name;
-    });
 
 }  // namespace
 }  // namespace udc

@@ -7,11 +7,15 @@
 // built on.  (test_store_segment.cc attacks a whole segment chain.)
 #include "udc/store/wal.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "udc/common/check.h"
@@ -213,6 +217,28 @@ TEST(StoreWal, CommitGovernsTheSyncedWatermark) {
   EXPECT_TRUE(w.commit());
   EXPECT_EQ(w.bytes_synced(), w.bytes_written());
   EXPECT_EQ(w.frames_synced(), 4u);
+  fs::remove_all(dir);
+}
+
+// The one data barrier reports a barrier that did not land: commit()
+// counts frames durable only on success, so a datasync that swallowed an
+// fdatasync error would advance the durable floor over data the disk never
+// confirmed.  fdatasync on a pipe fails with EINVAL, which makes a real
+// failing barrier without a faulty disk.
+TEST(StoreWal, DatasyncReportsAFailedBarrier) {
+  fs::path dir = fresh_dir("datasync");
+  const std::string path = (dir / "f").string();
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::write(fd, "frame", 5), 5);
+  int pipe_fds[2] = {-1, -1};
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  EXPECT_EQ(datasync(fd), 0);
+  EXPECT_NE(datasync(pipe_fds[1]), 0);
+  EXPECT_EQ(datasync(fd), 0);  // the failure belongs to its call only
+  ::close(pipe_fds[0]);
+  ::close(pipe_fds[1]);
+  ::close(fd);
   fs::remove_all(dir);
 }
 

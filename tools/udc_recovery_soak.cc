@@ -124,16 +124,17 @@ Options parse(int argc, char** argv) try {
 }
 
 // One store configuration of the soak.  The first three arms give the
-// committer no interval of its own, so only commit_every starts a round —
-// every 8 frames, every frame, or never — and a one-slot ring hands each
-// frame to the kernel on the next append, so a process kill keeps all but
-// the newest.  A round syncs every store, and run_live closes a killed
-// worker's store only at its restart, so the live workers' rounds sync the
-// victim's tail in between: only the never arm (or a drawn kSyncFail
-// window) leaves the machine-crash truncate a tail to cut.  The shipping
-// arm is StoreOptions{}; the last two add small segments, so every run
-// crosses several segment boundaries and kills land mid-segment and
-// mid-seal.
+// committer no interval, so only commit_every starts a round — every 8
+// frames, every frame, or never — and a one-slot ring hands each frame to
+// the kernel on the next append, so a process kill keeps all but the
+// newest.  Each store commits only itself, so a killed worker's WAL stays
+// as its own last round left it until the restart closes the store: the
+// machine-crash truncate cuts up to 7 frames under the every-8 arm, the
+// whole log since the last snapshot under the never arm, and nothing
+// under the every-append arm, whose last kick covers its last frame
+// (outside a drawn kSyncFail window).  The shipping arm is StoreOptions{};
+// the last two add small segments, so every run crosses several segment
+// boundaries and kills land mid-segment and mid-seal.
 struct StoreArm {
   const char* name;
   StoreOptions store;
