@@ -1,5 +1,5 @@
-// The one byte codec under the wire envelopes, the WAL records, snapshots
-// and the service log.
+// The one byte codec under the wire envelopes, the WAL records and the
+// service log.
 //
 // Integers are LEB128 varints, signed ones through the standard zigzag map
 // so small magnitudes — including the ubiquitous -1 sentinels

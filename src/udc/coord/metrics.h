@@ -80,9 +80,7 @@ struct RuntimeCounters {
   std::size_t restarts = 0;         // workers restarted after a crash
   std::size_t events_recorded = 0;  // model-level events in the lifted trace
   // Durability plane (store/; zero unless the run used a durable_dir).
-  std::size_t wal_frames_replayed = 0;   // tail frames consumed by recoveries
-  std::size_t snapshots_written = 0;     // compactions (incl. post-recovery)
-  std::size_t snapshots_loaded = 0;      // recoveries that found a snapshot
+  std::size_t wal_frames_replayed = 0;   // frames recoveries handed back
   std::size_t torn_tails_truncated = 0;  // recoveries that repaired the WAL
   std::size_t recoveries_total = 0;      // completed disk recoveries
   std::size_t storage_faults_injected = 0;  // scripted faults that landed
@@ -144,8 +142,6 @@ inline constexpr RuntimeCounterField kRuntimeCounterFields[] = {
     {"restarts", &RuntimeCounters::restarts},
     {"events", &RuntimeCounters::events_recorded},
     {"wal_replayed", &RuntimeCounters::wal_frames_replayed},
-    {"snapshots_written", &RuntimeCounters::snapshots_written},
-    {"snapshots_loaded", &RuntimeCounters::snapshots_loaded},
     {"torn_tails", &RuntimeCounters::torn_tails_truncated},
     {"recoveries", &RuntimeCounters::recoveries_total},
     {"storage_faults", &RuntimeCounters::storage_faults_injected},
@@ -182,7 +178,7 @@ static_assert(std::size(kRuntimeCounterFields) * sizeof(std::size_t) ==
 // Status frames carry the table as two blocks: every node packs the rows
 // before kNodeCounterSlots, and a service replica appends the service rows
 // (from svc_requests on) after them.  Unpacking reads a missing slot as 0.
-inline constexpr std::size_t kNodeCounterSlots = 33;
+inline constexpr std::size_t kNodeCounterSlots = 31;
 static_assert(kRuntimeCounterFields[kNodeCounterSlots].field ==
               &RuntimeCounters::svc_requests);
 

@@ -1,6 +1,7 @@
 #include "udc/rt/remote/fleet.h"
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -17,6 +18,9 @@
 namespace udc {
 
 namespace {
+
+// How long the survivors of kill_after_perform get to settle.
+constexpr std::chrono::milliseconds kSettleAfterKills{1'500};
 
 // The rt node's own flags; the supervisor adds identity, epoch and seed.
 std::vector<std::string> node_args(const FleetOptions& opts,
@@ -145,7 +149,7 @@ FleetVerdict run_fleet(const FleetOptions& opts) {
     if (has_perform_kills && perform_kills_pending.empty() &&
         !kills_settling) {
       kills_settling = true;
-      settle_deadline = wall + opts.settle_after_kills;
+      settle_deadline = wall + kSettleAfterKills;
     }
     if (kills_settling && wall >= settle_deadline) break;
 
@@ -217,10 +221,9 @@ FleetVerdict run_fleet(const FleetOptions& opts) {
   v.run = std::move(out.run);
   v.counters = out.counters;
   v.actions = workload_actions(opts.workload);
-  v.coord = opts.restartable_crashes
-                ? check_nudc(*v.run, v.actions, opts.grace)
-                : check_udc(*v.run, v.actions, opts.grace);
-  v.fd = check_fd_properties(*v.run, opts.grace);
+  v.coord = opts.restartable_crashes ? check_nudc(*v.run, v.actions, 0)
+                                     : check_udc(*v.run, v.actions, 0);
+  v.fd = check_fd_properties(*v.run, 0);
   v.accuracy = check_eventual_accuracy(*v.run);
   v.conformant = status == BudgetStatus::kComplete && v.coord.achieved() &&
                  v.clean_exits;

@@ -64,12 +64,11 @@ struct FleetOptions {
   // SIGKILL these processes the moment their status reports a DURABLE
   // perform — the kill lands after do_p(alpha) survives any crash, which is
   // exactly the Table-1 dagger construction's timing.  Subject to
-  // restartable_crashes like any other kill.
+  // restartable_crashes like any other kill.  With it active the run
+  // usually CANNOT complete (that is the point): once every listed victim
+  // is dead, the survivors get 1.5 s to settle, then the fleet is stopped
+  // and what happened is lifted.
   std::vector<ProcessId> kill_after_perform;
-  // With kill_after_perform active the run usually CANNOT complete (that is
-  // the point); once every listed victim is dead, wait this long for the
-  // survivors' state to settle, then stop and lift what happened.
-  std::chrono::milliseconds settle_after_kills{1'500};
 
   // Scratch directory for this run: WAL shards, the lowered script file,
   // per-node logs.  Created if missing; expected fresh per run.
@@ -77,7 +76,6 @@ struct FleetOptions {
   // The udc_rt_node executable to exec.
   std::string node_binary;
 
-  Time grace = 0;  // spec-check grace for the lifted run
   std::chrono::milliseconds deadline{20'000};
 };
 

@@ -59,7 +59,6 @@ inline StoreOptions mp_store_options() {
   StoreOptions s;
   s.commit_every = 64;
   s.commit_interval = std::chrono::microseconds{1'000};
-  s.snapshot_every = 512;
   return s;
 }
 

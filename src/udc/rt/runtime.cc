@@ -372,8 +372,6 @@ void worker_main(WorkerArgs args) {
 
 void fold_store_counters(const StoreCounters& s, RuntimeCounters* c) {
   c->wal_frames_replayed += s.wal_frames_replayed;
-  c->snapshots_written += s.snapshots_written;
-  c->snapshots_loaded += s.snapshots_loaded;
   c->torn_tails_truncated += s.torn_tails_truncated;
   c->recoveries_total += s.recoveries_total;
   c->storage_faults_injected += s.storage_faults_injected;
@@ -385,7 +383,6 @@ RtVerdict run_live(const RtOptions& opts) {
   UDC_CHECK(opts.n >= 1 && opts.n <= kMaxProcesses, "run_live: bad n");
   UDC_CHECK(opts.t >= 0 && opts.t < opts.n, "run_live: bad t");
   UDC_CHECK(opts.restart_after >= 1, "run_live: bad restart delay");
-  UDC_CHECK(opts.max_events >= 1, "run_live: bad event cap");
   for (const InitDirective& d : opts.workload) {
     UDC_CHECK(d.p >= 0 && d.p < opts.n, "run_live: workload names bad owner");
     UDC_CHECK(action_owner(d.action) == d.p,
@@ -515,6 +512,8 @@ RtVerdict run_live(const RtOptions& opts) {
   // restart delays past the run's wall-clock budget.
   constexpr auto kPollMin = std::chrono::microseconds(200);
   constexpr auto kPollMax = std::chrono::microseconds(800);
+  // A run that records more events than this is out of budget.
+  constexpr std::size_t kMaxLiveEvents = 250'000;
   auto poll = kPollMin;
   std::size_t last_count = rec.event_count();
 
@@ -527,7 +526,7 @@ RtVerdict run_live(const RtOptions& opts) {
     poll = count == last_count ? std::min(poll * 2, kPollMax) : kPollMin;
     last_count = count;
 
-    if (budget.deadline_expired() || rec.event_count() > opts.max_events) {
+    if (budget.deadline_expired() || rec.event_count() > kMaxLiveEvents) {
       status = BudgetStatus::kBudgetExceeded;
       break;
     }
@@ -579,8 +578,8 @@ RtVerdict run_live(const RtOptions& opts) {
       w.down = false;
       if (durable) {
         // Recover FROM DISK: corrupt the dead worker's files per the fault
-        // script (it is joined, so nobody else touches them), repair, load
-        // snapshot + tail.  The disk may have lost a recorded suffix; diff
+        // script (it is joined, so nobody else touches them), repair, read
+        // the chain back.  The disk may have lost a recorded suffix; diff
         // against the board to re-inject forgotten inits, and have the new
         // incarnation announce itself so peers re-teach the rest.
         ProcessStore& ps = *stores[static_cast<std::size_t>(p)];
@@ -692,10 +691,9 @@ RtVerdict run_live(const RtOptions& opts) {
 
   v.run = rec.lift();
   v.actions = workload_actions(opts.workload);
-  v.coord = opts.restartable_crashes
-                ? check_nudc(*v.run, v.actions, opts.grace)
-                : check_udc(*v.run, v.actions, opts.grace);
-  v.fd = check_fd_properties(*v.run, opts.grace);
+  v.coord = opts.restartable_crashes ? check_nudc(*v.run, v.actions, 0)
+                                     : check_udc(*v.run, v.actions, 0);
+  v.fd = check_fd_properties(*v.run, 0);
   v.accuracy = check_eventual_accuracy(*v.run);
   v.conformant = status == BudgetStatus::kComplete && v.coord.achieved();
   return v;

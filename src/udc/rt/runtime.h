@@ -28,11 +28,11 @@
 //     is preserved by construction and re-verified by the checker.
 //   * durable restart (`durable_dir` non-empty) — the write-ahead log moves
 //     to DISK: every recorded event is mirrored into a per-process
-//     store/ProcessStore (CRC-framed WAL + rotated snapshots, appends
-//     staged and group-committed), scripted StorageFaults corrupt it when
-//     the worker restarts (its store stays open, and committed, until
-//     then), and the restarted worker replays snapshot + repaired WAL
-//     tail instead of the in-memory trace.
+//     store/ProcessStore (a CRC-framed WAL segment chain, appends staged
+//     and group-committed), scripted StorageFaults corrupt it when the
+//     worker restarts (its store stays open, and committed, until then),
+//     and the restarted worker replays the repaired chain instead of the
+//     in-memory trace.
 //     Whatever the disk lost is a suffix of the process's history; the
 //     recovery protocol re-learns it: the supervisor re-injects inits the
 //     disk forgot (board vs. log diff), and the restarted worker broadcasts
@@ -92,7 +92,6 @@ struct RtOptions {
   std::uint64_t seed = 1;
 
   RtTransportOptions transport{};
-  Time grace = 0;  // spec-check grace for the lifted run
 
   // Restartable crashes: scripted crashes take the worker down for
   // `restart_after` ticks instead of sealing it; the supervisor restarts it
@@ -101,11 +100,11 @@ struct RtOptions {
   bool restartable_crashes = false;
   Time restart_after = 600;
 
-  // Durable restarts: when non-empty, each process keeps a disk WAL +
-  // snapshots under this directory (created if missing; expected fresh per
-  // run) and restartable crashes recover FROM DISK under the script's
-  // StorageFaults instead of from the in-memory trace.  Ignored when
-  // restartable_crashes is false.
+  // Durable restarts: when non-empty, each process keeps a disk WAL under
+  // this directory (created if missing; expected fresh per run) and
+  // restartable crashes recover FROM DISK under the script's StorageFaults
+  // instead of from the in-memory trace.  Ignored when restartable_crashes
+  // is false.
   //
   // Appends never fsync inline: each store's own committer batches its
   // barriers (DESIGN.md §10-§11), and seal/teardown force a final flush.
@@ -118,10 +117,10 @@ struct RtOptions {
 
   // Wall-clock envelope.  A budget without a deadline gets
   // `default_deadline` so a wedged live run can never hang the caller;
-  // tripping either bound yields a kBudgetExceeded partial verdict.
+  // tripping it, or recording more than 250,000 events, yields a
+  // kBudgetExceeded partial verdict.
   Budget budget;
   std::chrono::milliseconds default_deadline{10'000};
-  std::size_t max_events = 250'000;
 };
 
 struct RtVerdict {

@@ -35,7 +35,6 @@ RtTransport::RtTransport(int n, RtTransportOptions opts,
                 opts_.max_delay >= opts_.min_delay,
             "RtTransport: bad delay range");
   UDC_CHECK(opts_.dedup_window >= 1, "RtTransport: bad dedup window");
-  UDC_CHECK(opts_.shards >= 0, "RtTransport: bad shard count");
   // Per-ordered-channel PRNG streams, mirroring Network: traffic on one
   // channel never perturbs the draws of another.  Each stream is owned by
   // the shard that owns the channel's pair, so no stream needs a lock.
@@ -49,8 +48,8 @@ RtTransport::RtTransport(int n, RtTransportOptions opts,
   owed_acks_.resize(channels);
   ack_flush_scheduled_.assign(channels, 0);
 
-  const int shard_count =
-      opts_.shards > 0 ? opts_.shards : std::min(n_, 8);
+  // min(n, 8) dispatchers; shard_of maps each unordered pair onto one.
+  const int shard_count = std::min(n_, 8);
   shards_.reserve(static_cast<std::size_t>(shard_count));
   for (int s = 0; s < shard_count; ++s) {
     auto sh = std::make_unique<Shard>();

@@ -93,10 +93,6 @@ struct RtTransportOptions {
   // receiver-side dedup (>= 1).  Overflow folds into the watermark; see the
   // file comment for why that is loss, not corruption.
   std::size_t dedup_window = 64;
-  // Dispatcher shards; 0 = auto (min(n, 8)).  Unordered process pairs are
-  // mapped onto shards, so n = 1 shard reproduces the PR 3 single-dispatcher
-  // schedule class.
-  int shards = 0;
 };
 
 class RtTransport {

@@ -1,4 +1,4 @@
-// CRC-32 checksums for WAL and snapshot framing.
+// CRC-32 checksums for WAL and service-log framing.
 //
 // The durability layer's threat model (DESIGN.md §9) is a hostile disk:
 // torn writes, truncations, and bit flips injected at kill time.  A 32-bit

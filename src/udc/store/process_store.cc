@@ -1,7 +1,5 @@
 #include "udc/store/process_store.h"
 
-#include <algorithm>
-
 #include "udc/common/check.h"
 #include "udc/store/codec.h"
 
@@ -20,7 +18,6 @@ ProcessStore::ProcessStore(std::string dir, ProcessId p, StoreOptions opts,
     : dir_(std::move(dir)), p_(p), opts_(opts), faults_(std::move(faults)) {
   UDC_CHECK(!dir_.empty(), "ProcessStore: empty directory");
   UDC_CHECK(opts_.commit_every >= 1, "ProcessStore: commit_every < 1");
-  mirror_.reserve(std::min<std::size_t>(opts_.snapshot_every * 2, 1 << 16));
   writer_ = make_writer();
 }
 
@@ -33,10 +30,6 @@ std::shared_ptr<WalWriter> ProcessStore::make_writer() const {
 
 std::string ProcessStore::wal_path() const {
   return dir_ + "/p" + std::to_string(p_) + ".wal";
-}
-
-std::string ProcessStore::snapshot_path() const {
-  return dir_ + "/p" + std::to_string(p_) + ".snap";
 }
 
 void ProcessStore::append(Time t, const Event& e) {
@@ -57,16 +50,8 @@ void ProcessStore::append(Time t, const Event& e) {
       }
       writer_->set_sync_failing(sync_failing);
     }
-    // A due compaction runs BEFORE the append, so the frame that finds the
-    // tail full opens the new one: after the first rotation the WAL always
-    // holds at least the newest frame, and no kill finds it just emptied.
-    if (frames_since_snapshot_ >= opts_.snapshot_every) rotate_snapshot();
-    // emplace builds the record once, in place — the WAL encoder then reads
-    // it straight out of the mirror (no temporary, no second Event copy).
-    const StoreRecord& rec = mirror_.emplace_back(t, e);
-    const std::uint64_t unsynced = writer_->append(rec);
+    const std::uint64_t unsynced = writer_->append(StoreRecord{t, e});
     ++counters_.wal_frames_appended;
-    ++frames_since_snapshot_;
     kick = unsynced >= static_cast<std::uint64_t>(opts_.commit_every);
   }
   // Kick outside the store mutex: the woken flusher takes it first thing,
@@ -128,19 +113,6 @@ void ProcessStore::stop_committer() {
   flush();  // nothing staged survives an orderly stop unsynced
 }
 
-void ProcessStore::rotate_snapshot() {
-  // Snapshot first, truncate the WAL second: a crash in the gap leaves
-  // snapshot and WAL overlapping, which recovery resolves by tick.  The
-  // snapshot covers mirror_ — including frames still staged in the ring —
-  // and write_snapshot_file fsyncs, so after rotation the durable floor is
-  // the whole history so far.
-  write_snapshot_file(snapshot_path(), mirror_);
-  writer_->truncate_all();
-  frames_since_snapshot_ = 0;
-  snapshot_records_ = mirror_.size();
-  ++counters_.snapshots_written;
-}
-
 void ProcessStore::apply_kill_faults(Time kill_time, Rng& rng) {
   std::lock_guard<std::mutex> lock(mu_);
   // The writer's descriptors go away first; every fault below edits the
@@ -199,43 +171,31 @@ void ProcessStore::apply_kill_faults(Time kill_time, Rng& rng) {
 
 std::vector<StoreRecord> ProcessStore::recover() {
   std::lock_guard<std::mutex> lock(mu_);
-  // 1. Truncate the WAL — every segment of it — to its longest valid frame
-  //    prefix.  A clean tail (including a preallocated segment's zero
-  //    tail) is a no-op; a torn/flipped one is counted and cut.
+  // The writer lets go of the chain first (after a kill it already has):
+  // recovery edits the files from the outside.
+  writer_->close();
+  // 1. Repair: cut the chain — every segment of it — to its longest valid
+  //    frame prefix.  A clean tail (including a preallocated segment's
+  //    zero tail) is trimmed silently; a torn/flipped one is counted and
+  //    cut.
   if (repair_wal(wal_path())) ++counters_.torn_tails_truncated;
+  // 2. Datasync what is kept: the next writer counts every byte on disk as
+  //    synced, and the durable floor every frame, so the repair's cuts and
+  //    the frames that outlived the kill in the page cache must be on the
+  //    disk before a frame lands after them.
+  sync_wal(wal_path());
+  // 3. Replay: the chain's longest valid prefix.
   WalReadResult wal = read_wal(
       wal_path(), short_read_armed_ ? std::size_t{3} : std::size_t{0});
   short_read_armed_ = false;
-
-  // 2. Snapshot + tail, deduplicated by tick (the snapshot-then-truncate
-  //    crash window leaves overlap; ticks are globally unique).
-  std::vector<StoreRecord> recovered;
-  Time covered = 0;
-  if (auto snap = read_snapshot_file(snapshot_path())) {
-    recovered = std::move(snap->records);
-    covered = recovered.empty() ? 0 : recovered.back().t;
-    ++counters_.snapshots_loaded;
-  }
-  for (const StoreRecord& r : wal.records) {
-    if (r.t > covered) {
-      recovered.push_back(r);
-      ++counters_.wal_frames_replayed;
-    }
-  }
-
-  // 3. Re-compact: the recovered prefix becomes the new snapshot and the
-  //    WAL restarts empty, so the next incarnation appends onto a durable
-  //    base that an immediate second crash cannot tear.
-  write_snapshot_file(snapshot_path(), recovered);
-  ++counters_.snapshots_written;
+  counters_.wal_frames_replayed += wal.records.size();
+  // 4. Reopen: appends continue the chain in a fresh preallocated segment,
+  //    so the next incarnation's barriers stay data-only.
   sync_failures_base_ += writer_->sync_failures();
   writer_ = make_writer();
-  writer_->truncate_all();
-  frames_since_snapshot_ = 0;
-  snapshot_records_ = recovered.size();
-  mirror_ = recovered;
+  recovered_records_ = wal.records.size();
   ++counters_.recoveries_total;
-  return recovered;
+  return std::move(wal.records);
 }
 
 StoreCounters ProcessStore::counters() const {
@@ -248,8 +208,7 @@ StoreCounters ProcessStore::counters() const {
 
 std::size_t ProcessStore::durable_floor() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (writer_ == nullptr) return snapshot_records_;
-  return snapshot_records_ +
+  return recovered_records_ +
          static_cast<std::size_t>(writer_->frames_synced());
 }
 

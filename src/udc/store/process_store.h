@@ -1,21 +1,19 @@
-// ProcessStore: one process's durable state — a CRC-framed WAL plus a
-// periodically rotated snapshot — and the scripted storage faults that
-// attack it.
+// ProcessStore: one process's durable state — its history as a CRC-framed
+// WAL segment chain — and the scripted storage faults that attack it.
 //
 // The live runtime's TraceRecorder doubles as each process's in-memory
 // write-ahead log; a ProcessStore is that log made durable.  Every recorded
 // event is appended (under the recorder's per-process shard mutex, so the
-// durable order IS the recorded order); once `snapshot_every` frames have
-// accumulated, the next append first compacts the WAL into an
-// atomically-replaced snapshot, so a compaction never leaves it empty.
-// When the supervisor hard-kills a worker it applies any scripted
-// StorageFault whose window covers the kill tick (torn write,
-// truncate-to-synced, bit flip, short read, fsync failure) and then
-// recovers: repair the WAL tail to its longest valid frame prefix, load
-// snapshot + tail, re-compact, and hand the recovered event prefix to the
-// restarted worker.  Anything the disk lost is a SUFFIX of the process's
-// history, which the recovery protocol re-learns via supervisor re-inits
-// and the kRejoin beacon (DESIGN.md §9).
+// durable order IS the recorded order), and the chain is the only durable
+// copy: nothing compacts it or copies it aside.  When the supervisor
+// hard-kills a worker it applies any scripted StorageFault whose window
+// covers the kill tick (torn write, truncate-to-synced, bit flip, short
+// read, fsync failure) and then recovers: repair the chain to its longest
+// valid frame prefix, datasync what is kept, and hand that prefix to the
+// restarted worker, whose appends continue the chain in a fresh segment.
+// Anything the disk lost is a SUFFIX of the process's history, which the
+// recovery protocol re-learns via supervisor re-inits and the kRejoin
+// beacon (DESIGN.md §9).
 //
 // Durability (DESIGN.md §10-§11): append() NEVER fsyncs.  It stages the
 // frame in the WAL's fixed-slot ring (store/wal.h), and flush() drains and
@@ -26,18 +24,18 @@
 // `segment_bytes` segments rotated off the append path.  Staged frames
 // live in user memory until the next commit, so the loss window of ANY
 // kill — plain process kill or machine-style kTruncate — is "since this
-// store's last commit" (plus whatever the snapshot already made durable);
+// store's last commit" (or its last recovery, which syncs what it keeps);
 // a plain kill keeps the frames a full ring drained itself.  No other
 // store's commit covers this one's frames.
 //
-// Thread-safety: mu_ serializes append / rotate / kill / recover; flush()
-// holds mu_ only long enough to pin the writer, then drains and barriers
-// under the WAL's own drain lock, so appends never wait out an fdatasync.
-// Lock order: mu_ before drain before ring; commit_mu_ (the flusher's
-// wake-up state) is taken alone.  flush() arrives on the store's flusher
-// thread, on seal, or from the service node's worker (its durable-send
-// gate); apply_kill_faults() / recover() on the supervisor thread strictly
-// after the worker is joined.
+// Thread-safety: mu_ serializes append / kill / recover; flush() holds mu_
+// only long enough to pin the writer, then drains and barriers under the
+// WAL's own drain lock, so appends never wait out an fdatasync.  Lock
+// order: mu_ before drain before ring; commit_mu_ (the flusher's wake-up
+// state) is taken alone.  flush() arrives on the store's flusher thread,
+// on seal, or from the service node's worker (its durable-send gate);
+// apply_kill_faults() / recover() on the supervisor thread strictly after
+// the worker is joined.
 #pragma once
 
 #include <chrono>
@@ -53,15 +51,13 @@
 #include "udc/chaos/fault_script.h"
 #include "udc/common/rng.h"
 #include "udc/common/types.h"
-#include "udc/store/snapshot.h"
 #include "udc/store/wal.h"
 
 namespace udc {
 
 // The defaults are the shipping store's (run_live's).  Tests shrink the
-// sizes to reach segment rotation, ring self-drain and compaction.
+// sizes to reach segment rotation and ring self-drain.
 struct StoreOptions {
-  std::size_t snapshot_every = 1024;  // WAL frames before compaction
   // Sized so a saturated store asks for roughly one barrier round per ~1k
   // events instead of per 32.
   int commit_every = 1024;  // kick the committer at this many frames
@@ -72,9 +68,7 @@ struct StoreOptions {
 
 struct StoreCounters {
   std::size_t wal_frames_appended = 0;
-  std::size_t wal_frames_replayed = 0;   // tail frames used by recoveries
-  std::size_t snapshots_written = 0;
-  std::size_t snapshots_loaded = 0;
+  std::size_t wal_frames_replayed = 0;   // frames recoveries handed back
   std::size_t torn_tails_truncated = 0;  // recoveries that had to repair
   std::size_t recoveries_total = 0;
   std::size_t storage_faults_injected = 0;
@@ -94,9 +88,8 @@ class ProcessStore {
   ProcessStore& operator=(const ProcessStore&) = delete;
 
   // Durably appends the event recorded at tick t.  kSyncFail windows are
-  // evaluated against t; snapshot rotation happens here too.  The frame is
-  // staged, not fsynced; the flusher is kicked once commit_every frames
-  // are pending.
+  // evaluated against t.  The frame is staged, not fsynced; the flusher is
+  // kicked once commit_every frames are pending.
   void append(Time t, const Event& e);
 
   // Commits the unsynced WAL tail, if any: drain + barrier.  Run by the
@@ -125,27 +118,26 @@ class ProcessStore {
   // thread is joined and before recover().
   void apply_kill_faults(Time kill_time, Rng& rng);
 
-  // Repairs the WAL, loads snapshot + tail, re-compacts, reopens the
-  // writer, and returns the recovered event prefix in tick order.
+  // Repairs the chain, datasyncs every segment it keeps, reopens the
+  // writer on a fresh preallocated segment, and returns the chain's
+  // longest valid prefix: the recovered events in tick order.
   std::vector<StoreRecord> recover();
 
   // A snapshot taken under the store mutex; final once the workers are
   // joined and the committer stopped.
   StoreCounters counters() const;
 
-  // Records guaranteed to survive ANY kill at this instant: what the
-  // snapshot covers plus every WAL frame a successful barrier has covered
-  // since.  recover() must return at least this many records (and at most
+  // Records guaranteed to survive ANY kill at this instant: what the last
+  // recovery kept plus every frame a successful barrier has covered since.
+  // recover() must return at least this many records (and at most
   // everything appended) — the "loss window is since this store's last
   // commit" property, asserted by the commit tests.
   std::size_t durable_floor() const;
 
   std::string wal_path() const;
-  std::string snapshot_path() const;
 
  private:
   std::shared_ptr<WalWriter> make_writer() const;
-  void rotate_snapshot();  // mu_ held
 
   std::string dir_;
   ProcessId p_;
@@ -154,9 +146,7 @@ class ProcessStore {
 
   mutable std::mutex mu_;
   std::shared_ptr<WalWriter> writer_;
-  std::vector<StoreRecord> mirror_;  // in-memory copy, for compaction
-  std::size_t frames_since_snapshot_ = 0;
-  std::size_t snapshot_records_ = 0;  // records the on-disk snapshot covers
+  std::size_t recovered_records_ = 0;  // the last recovery's prefix
   std::size_t sync_failures_base_ = 0;  // from writers already retired
   bool short_read_armed_ = false;
   StoreCounters counters_;

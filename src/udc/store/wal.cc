@@ -287,6 +287,15 @@ bool repair_wal(const std::string& base) {
   return cut_nonzero;
 }
 
+void sync_wal(const std::string& base) {
+  for (const auto& [seq, path] : list_wal_segments(base)) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    const bool synced = fd >= 0 && datasync(fd) == 0;
+    if (fd >= 0) ::close(fd);
+    UDC_CHECK(synced, "cannot sync " + path);
+  }
+}
+
 WalWriter::WalWriter(std::string path, WalOptions opts)
     : path_(std::move(path)), opts_(opts) {
   UDC_CHECK(opts_.segment_bytes >= kMaxWalFrameBytes,
@@ -301,24 +310,26 @@ WalWriter::WalWriter(std::string path, WalOptions opts)
   std::lock_guard<std::mutex> dl(drain_mu_);
   std::uint64_t total = 0;
   for (const auto& [seq, spath] : list_wal_segments(path_)) {
-    // Reopening an intact chain (recovery truncates before reuse, so a
-    // zero tail here is at worst preallocation): live data is the valid
-    // frame prefix.
+    // Reopening an intact chain (recovery repairs before reuse, so a zero
+    // tail here is at worst preallocation): live data is the valid frame
+    // prefix.
     WalReadResult r = read_wal_file(spath);
     segs_.push_back({spath, total, r.valid_bytes});
     total += r.valid_bytes;
     next_seq_ = seq + 1;
   }
-  if (segs_.empty()) {
-    open_next_segment_locked();
-  } else {
-    fd_ = ::open(segs_.back().path.c_str(), O_RDWR | O_CLOEXEC);
-    UDC_CHECK(fd_ >= 0, "WalWriter: cannot open " + segs_.back().path);
-  }
-  // Reopened after recovery: everything already on disk counts as synced
-  // (recovery fsyncs what it keeps).
+  // Everything already on disk counts as synced (its opener synced it).
   written_.store(total, std::memory_order_relaxed);
   synced_.store(total, std::memory_order_relaxed);
+  // Appends never land on a reopened segment's cut end — growing a file
+  // would put size metadata under every barrier — but in a fresh,
+  // preallocated one.  An empty last segment is re-created as that one, so
+  // repeated recoveries with no appends between them add no files.
+  if (!segs_.empty() && segs_.back().data == 0) {
+    segs_.pop_back();
+    --next_seq_;
+  }
+  open_next_segment_locked();
   open_.store(true, std::memory_order_relaxed);
 }
 
@@ -410,7 +421,7 @@ std::uint64_t WalWriter::append(const StoreRecord& r) {
   const std::uint64_t appended =
       appended_frames_.load(std::memory_order_relaxed) + 1;
   appended_frames_.store(appended, std::memory_order_relaxed);
-  return appended - synced_frames_cum_.load(std::memory_order_relaxed);
+  return appended - synced_frames_.load(std::memory_order_relaxed);
 }
 
 bool WalWriter::commit() {
@@ -436,42 +447,10 @@ bool WalWriter::commit() {
   }
   for (int fd : sealed_unsynced_) ::close(fd);
   sealed_unsynced_.clear();
-  const std::uint64_t frames = written_frames_.load(std::memory_order_relaxed);
-  synced_frames_cum_.fetch_add(
-      frames - synced_frames_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
   synced_.store(bytes, std::memory_order_relaxed);
-  synced_frames_.store(frames, std::memory_order_relaxed);
+  synced_frames_.store(written_frames_.load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
   return true;
-}
-
-void WalWriter::truncate_all() {
-  // Must not race an append (see append()); the store's mutex guarantees
-  // it, so resetting the ring counters here is safe.
-  std::lock_guard<std::mutex> dl(drain_mu_);
-  UDC_CHECK(is_open(), "WalWriter: truncate after close");
-  ring_head_.store(0, std::memory_order_relaxed);
-  ring_tail_.store(0, std::memory_order_relaxed);
-  for (int fd : sealed_unsynced_) ::close(fd);
-  sealed_unsynced_.clear();
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = -1;
-  for (const Segment& s : segs_) {
-    std::error_code ec;
-    std::filesystem::remove(s.path, ec);
-  }
-  segs_.clear();
-  next_seq_ = 0;
-  written_.store(0, std::memory_order_relaxed);
-  open_next_segment_locked();
-  synced_.store(0, std::memory_order_relaxed);
-  written_frames_.store(0, std::memory_order_relaxed);
-  synced_frames_.store(0, std::memory_order_relaxed);
-  // Everything ever appended is now either durable via the snapshot that
-  // triggered this rotation or intentionally discarded: the unsynced ledger
-  // restarts empty.
-  synced_frames_cum_.store(appended_frames_.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
 }
 
 void WalWriter::close() {
@@ -480,7 +459,7 @@ void WalWriter::close() {
   // This is the kill point: staged frames die with the process (they were
   // never handed to the kernel), while written-but-unsynced bytes survive
   // in the page cache until a scripted kTruncate models the machine crash.
-  // Like truncate_all, close() must not race an append.
+  // close() must not race an append.
   ring_head_.store(ring_tail_.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
   for (int fd : sealed_unsynced_) ::close(fd);

@@ -1,6 +1,6 @@
 // Durable, CRC-framed, length-prefixed write-ahead log — and the frame
-// format, frame reader and file I/O that snapshots (store/snapshot.h) and
-// the service log (svc/svclog.h) share with it.
+// format, frame reader and file I/O that the service log (svc/svclog.h)
+// shares with it.
 //
 // On-disk layout: a sequence of frames
 //
@@ -27,7 +27,8 @@
 //     in sequence order; an all-zero tail is a clean preallocated end, not
 //     corruption, and a mid-chain all-zero tail (a seal interrupted between
 //     the last write and the ftruncate) is skipped so later synced segments
-//     still count.
+//     still count.  The chain only grows: a writer reopened on it appends
+//     in a fresh preallocated segment after the existing ones.
 //   * appends encode the frame IN PLACE into a fixed-slot ring buffer (zero
 //     heap allocations, no syscall); commit(), which ProcessStore::flush()
 //     runs, drains the ring with one write per segment and then barriers
@@ -172,6 +173,11 @@ WalReadResult read_wal(const std::string& base, std::size_t max_read_chunk = 0);
 // tick for real torn/corrupt tails.
 bool repair_wal(const std::string& base);
 
+// Datasyncs every segment of a WAL, so a repair's cuts and the frames it
+// kept are on disk before anything is appended after them.  Throws
+// InvariantViolation if a barrier does not land.
+void sync_wal(const std::string& base);
+
 // Both sizes are required: the writer rejects a zero one.
 struct WalOptions {
   std::uint64_t segment_bytes = 0;  // segment capacity, >= one frame
@@ -180,9 +186,12 @@ struct WalOptions {
 
 class WalWriter {
  public:
-  // Opens (creating if needed) and appends at the end.  Throws
-  // InvariantViolation if the log cannot be opened — an unusable log
-  // directory is a configuration error, not a scripted fault.
+  // Opens the chain at `path` (creating it if needed) and appends in a
+  // fresh preallocated segment after its last one — the last one itself
+  // when it holds no frame.  The frames already on disk count as synced:
+  // a caller reopening a chain datasyncs it first (ProcessStore::recover).
+  // Throws InvariantViolation if the log cannot be opened — an unusable
+  // log directory is a configuration error, not a scripted fault.
   WalWriter(std::string path, WalOptions opts);
   ~WalWriter();
 
@@ -193,8 +202,7 @@ class WalWriter {
   // a successful barrier (same value as unsynced_frames(), computed without
   // extra atomic traffic — callers use it as the group-commit kick signal).
   // At most ONE thread may append at a time (ProcessStore's mutex provides
-  // this); appends may overlap freely with commit(), but not with
-  // truncate_all() or close().
+  // this); appends may overlap freely with commit(), but not with close().
   std::uint64_t append(const StoreRecord& r);
 
   // Drain + barrier for everything appended: the sealed segments awaiting
@@ -209,10 +217,6 @@ class WalWriter {
     sync_failing_.store(failing, std::memory_order_relaxed);
   }
 
-  // Snapshot rotation: empty the log (the snapshot now covers its content).
-  // Discards staged frames, deletes every segment, restarts at sequence 0.
-  void truncate_all();
-
   std::uint64_t bytes_written() const {
     return written_.load(std::memory_order_relaxed);
   }
@@ -222,9 +226,9 @@ class WalWriter {
   std::size_t frames_appended() const {
     return appended_frames_.load(std::memory_order_relaxed);
   }
-  // Frames covered by a successful barrier since the last truncate_all —
-  // with the records covered by the owning store's snapshot, this is the
-  // store's durable floor.
+  // Frames this writer appended that a successful barrier has covered —
+  // with the records the owning store recovered, this is the store's
+  // durable floor.
   std::uint64_t frames_synced() const {
     return synced_frames_.load(std::memory_order_relaxed);
   }
@@ -238,7 +242,7 @@ class WalWriter {
   int unsynced_frames() const {
     return static_cast<int>(
         appended_frames_.load(std::memory_order_relaxed) -
-        synced_frames_cum_.load(std::memory_order_relaxed));
+        synced_frames_.load(std::memory_order_relaxed));
   }
   bool is_open() const { return open_.load(std::memory_order_relaxed); }
 
@@ -289,9 +293,9 @@ class WalWriter {
   // drain_mu_) consumes [ring_head_, ring_tail_) and publishes ring_head_.
   // So an append never waits out a pwritev or an fdatasync — a full ring
   // is the only backpressure, and then the appender becomes the consumer
-  // by taking drain_mu_ itself.  truncate_all()/close() reset the ring and
-  // therefore must not race appends (the owning store's mutex guarantees
-  // it; standalone users get the same rule documented on append()).
+  // by taking drain_mu_ itself.  close() resets the ring and therefore
+  // must not race appends (the owning store's mutex guarantees it;
+  // standalone users get the same rule documented on append()).
   std::mutex drain_mu_;
 
   // Segment table.  Guarded by drain_mu_.
@@ -313,12 +317,13 @@ class WalWriter {
 
   std::atomic<bool> open_{false};
   std::atomic<bool> sync_failing_{false};
-  std::atomic<std::uint64_t> written_{0};  // on-disk bytes since truncate
-  std::atomic<std::uint64_t> synced_{0};   // barrier-covered bytes, ditto
-  std::atomic<std::uint64_t> appended_frames_{0};    // cumulative appends
-  std::atomic<std::uint64_t> written_frames_{0};     // since truncate
-  std::atomic<std::uint64_t> synced_frames_{0};      // since truncate
-  std::atomic<std::uint64_t> synced_frames_cum_{0};  // cumulative ledger
+  // Bytes count the whole chain, the frames found at open included (they
+  // are the segments' global offsets); frames count this writer's appends.
+  std::atomic<std::uint64_t> written_{0};  // handed to the OS
+  std::atomic<std::uint64_t> synced_{0};   // covered by a barrier
+  std::atomic<std::uint64_t> appended_frames_{0};
+  std::atomic<std::uint64_t> written_frames_{0};
+  std::atomic<std::uint64_t> synced_frames_{0};
   std::atomic<std::uint64_t> sync_failures_{0};
 };
 

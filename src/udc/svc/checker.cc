@@ -2,9 +2,11 @@
 
 #include <array>
 #include <map>
+#include <set>
 #include <sstream>
 #include <utility>
 
+#include "udc/common/check.h"
 #include "udc/svc/session.h"
 
 namespace udc {
@@ -172,6 +174,32 @@ SvcReplicaJoin join_do_order(const std::vector<ActionId>& do_order,
     }
   }
   return j;
+}
+
+SvcFleetJoin join_fleet(const Run& run,
+                        std::vector<std::vector<SvcBatch>> svclogs,
+                        const std::vector<bool>& dead_for_good) {
+  UDC_CHECK(svclogs.size() == static_cast<std::size_t>(run.n()) &&
+                dead_for_good.size() == svclogs.size(),
+            "join_fleet: one service log and one fate per replica");
+  SvcFleetJoin out;
+  std::set<ActionId> initiated;
+  for (ProcessId p = 0; p < run.n(); ++p) {
+    const auto i = static_cast<std::size_t>(p);
+    std::vector<ActionId> do_order;
+    for (const Event& e : run.history(p).events()) {
+      if (e.kind == EventKind::kInit) initiated.insert(e.action);
+      if (e.kind == EventKind::kDo) do_order.push_back(e.action);
+    }
+    if (dead_for_good[i]) continue;
+    SvcReplicaJoin join = join_do_order(do_order, std::move(svclogs[i]));
+    out.join_ok = out.join_ok && join.unbacked.empty();
+    auto& slots = out.slots.emplace_back();
+    for (const SvcBatch& b : join.applied) slots.push_back({b.slot, b.action});
+    out.applied.push_back(std::move(join.applied));
+  }
+  out.actions.assign(initiated.begin(), initiated.end());
+  return out;
 }
 
 }  // namespace udc

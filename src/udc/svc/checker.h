@@ -28,9 +28,11 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "udc/common/types.h"
+#include "udc/event/run.h"
 #include "udc/svc/wire.h"
 
 namespace udc {
@@ -78,5 +80,26 @@ struct SvcReplicaJoin {
 
 SvcReplicaJoin join_do_order(const std::vector<ActionId>& do_order,
                              std::vector<SvcBatch> records);
+
+// What a service fleet's verdict checks, rebuilt from the disks: every
+// batch action any replica initiated in the lifted run, and each surviving
+// replica's apply sequence (join_do_order of its kDo order in the run and
+// its service-log records, as check_sessions and check_log_agreement take
+// them).  A replica dead for good — SIGKILLed and never relaunched, or
+// dead on its own — is left out of the apply sequences: it stopped
+// converging when it died.  The caller reads the service logs, so it can
+// time the reads, and runs the checkers.
+struct SvcFleetJoin {
+  std::vector<ActionId> actions;  // ascending
+  std::vector<std::vector<SvcBatch>> applied;  // one per surviving replica
+  std::vector<std::vector<std::pair<std::uint64_t, ActionId>>> slots;
+  bool join_ok = true;  // every survivor's kDo had a service-log record
+};
+
+// `svclogs[p]` and `dead_for_good[p]` are replica p's, for every process
+// of `run`.
+SvcFleetJoin join_fleet(const Run& run,
+                        std::vector<std::vector<SvcBatch>> svclogs,
+                        const std::vector<bool>& dead_for_good);
 
 }  // namespace udc

@@ -7,14 +7,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <utility>
 
 #include "udc/chaos/fault_script.h"
 #include "udc/common/check.h"
 #include "udc/common/rng.h"
-#include "udc/event/event.h"
 #include "udc/net/wire.h"
 #include "udc/rt/remote/supervisor.h"
 #include "udc/svc/client.h"
@@ -38,6 +36,14 @@ const char* svc_chaos_arm_name(SvcChaosArm arm) {
 }
 
 namespace {
+
+// The load's shape and the chaos pacing (svc/fleet.h).
+constexpr int kSessionsPerClient = 4;
+constexpr double kReadFraction = 0.2;
+constexpr std::chrono::milliseconds kChaosAfter{150};  // first fault
+constexpr std::chrono::milliseconds kRestartAfter{300};
+constexpr std::chrono::milliseconds kKillSpacing{800};
+constexpr int kLeaderKills = 2;  // kLeaderKill arm only
 
 // Partition arm: node 0 (the likely first leader) cut both ways in logical
 // time, healing mid-run.  Tick velocity under load is thousands per second,
@@ -93,10 +99,9 @@ std::vector<Arrival> make_schedule(const SvcFleetOptions& opts, Rng& rng) {
     a.at_us = t;
     a.client = static_cast<int>(rng.next_below(
         static_cast<std::uint64_t>(opts.clients)));
-    const std::uint64_t s = rng.next_below(
-        static_cast<std::uint64_t>(opts.sessions_per_client));
+    const std::uint64_t s = rng.next_below(kSessionsPerClient);
     a.session = (static_cast<std::uint64_t>(a.client) << 8) | (s + 1);
-    a.read = rng.chance(opts.read_fraction);
+    a.read = rng.chance(kReadFraction);
     a.reg = static_cast<std::int32_t>(rng.next_below(64));
     a.value = i + 1;
     sched.push_back(a);
@@ -112,9 +117,7 @@ SvcFleetVerdict run_svc_fleet(const SvcFleetOptions& opts) {
   UDC_CHECK(!opts.node_binary.empty() &&
                 std::filesystem::exists(opts.node_binary),
             "svc fleet: node binary missing");
-  UDC_CHECK(opts.clients >= 1 && opts.sessions_per_client >= 1 &&
-                opts.ops >= 1,
-            "svc fleet: bad load shape");
+  UDC_CHECK(opts.clients >= 1 && opts.ops >= 1, "svc fleet: bad load shape");
   std::filesystem::create_directories(opts.run_dir);
 
   std::string script_path;
@@ -146,11 +149,11 @@ SvcFleetVerdict run_svc_fleet(const SvcFleetOptions& opts) {
       svc_status_counters);
   std::vector<std::chrono::steady_clock::time_point> relaunch_at(
       static_cast<std::size_t>(opts.n));
-  // Chaos kills are always relaunched, `restart_after` later.
+  // Chaos kills are always relaunched, kRestartAfter later.
   auto crash = [&](ProcessId victim,
                    std::chrono::steady_clock::time_point wall) {
     sup.kill(victim, /*relaunch=*/true);
-    relaunch_at[static_cast<std::size_t>(victim)] = wall + opts.restart_after;
+    relaunch_at[static_cast<std::size_t>(victim)] = wall + kRestartAfter;
   };
 
   // --- the load -------------------------------------------------------------
@@ -187,10 +190,10 @@ SvcFleetVerdict run_svc_fleet(const SvcFleetOptions& opts) {
 
   // Chaos state.
   int kills_done = 0;
-  auto next_kill = start + opts.chaos_after;
+  auto next_kill = start + kChaosAfter;
   int rolling_victim = 0;
   bool rolling_waiting = false;
-  auto rolling_gate = start + opts.chaos_after;
+  auto rolling_gate = start + kChaosAfter;
 
   for (;;) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -232,7 +235,7 @@ SvcFleetVerdict run_svc_fleet(const SvcFleetOptions& opts) {
       case SvcChaosArm::kNone:
         break;
       case SvcChaosArm::kLeaderKill: {
-        chaos_done = kills_done >= opts.leader_kills;
+        chaos_done = kills_done >= kLeaderKills;
         if (!chaos_done && wall >= next_kill) {
           // Majority view of the leader; no kill while the fleet is still
           // arguing (an electing fleet has no leader to fail over from).
@@ -249,7 +252,7 @@ SvcFleetVerdict run_svc_fleet(const SvcFleetOptions& opts) {
           if (target != kInvalidProcess && sup.child(target).running) {
             crash(target, wall);
             ++kills_done;
-            next_kill = wall + opts.kill_spacing;
+            next_kill = wall + kKillSpacing;
           }
         }
         break;
@@ -318,30 +321,16 @@ SvcFleetVerdict run_svc_fleet(const SvcFleetOptions& opts) {
   FleetOutcome out = sup.finish();
   v.run = std::move(out.run);
 
-  // Every batch action any shard initiated, and each replica's apply
-  // sequence: its durable kDo order joined to its service log.
-  std::set<ActionId> initiated;
-  std::vector<std::vector<SvcBatch>> applied_per_node(
-      static_cast<std::size_t>(opts.n));
-  std::vector<std::vector<std::pair<std::uint64_t, ActionId>>> applied_slots(
-      static_cast<std::size_t>(opts.n));
-  bool join_ok = true;
+  // Every batch action any shard initiated, and each surviving replica's
+  // apply sequence: its durable kDo order joined to its service log.
+  std::vector<std::vector<SvcBatch>> svclogs;
+  std::vector<bool> dead_for_good;
   for (ProcessId p = 0; p < opts.n; ++p) {
-    std::vector<ActionId> do_order;
-    for (const Event& e : v.run->history(p).events()) {
-      if (e.kind == EventKind::kInit) initiated.insert(e.action);
-      if (e.kind == EventKind::kDo) do_order.push_back(e.action);
-    }
-    SvcReplicaJoin join = join_do_order(
-        do_order, SvcDurableLog::read(opts.run_dir + "/svc-" +
-                                      std::to_string(p) + ".log"));
-    join_ok = join_ok && join.unbacked.empty();
-    for (const SvcBatch& b : join.applied) {
-      applied_slots[static_cast<std::size_t>(p)].push_back({b.slot, b.action});
-    }
-    applied_per_node[static_cast<std::size_t>(p)] = std::move(join.applied);
+    svclogs.push_back(SvcDurableLog::read(svc_log_path(opts.run_dir, p)));
+    dead_for_good.push_back(sup.child(p).dead_for_good);
   }
-  v.actions.assign(initiated.begin(), initiated.end());
+  SvcFleetJoin join = join_fleet(*v.run, std::move(svclogs), dead_for_good);
+  v.actions = std::move(join.actions);
 
   // --- verdict --------------------------------------------------------------
   v.clean_exits = out.clean_exits;
@@ -349,18 +338,18 @@ SvcFleetVerdict run_svc_fleet(const SvcFleetOptions& opts) {
   v.coord = check_nudc(*v.run, v.actions, /*grace=*/0);
   {
     std::lock_guard<std::mutex> lk(done_mu);
-    v.sessions = check_sessions(applied_per_node, confirmed);
+    v.sessions = check_sessions(join.applied, confirmed);
     v.latency = latency.quantiles();
     v.completions = confirmed.size();
     v.elapsed_s =
         std::chrono::duration<double>(last_completion - load_start).count();
   }
-  if (!join_ok) {
+  if (!join.join_ok) {
     v.sessions.agreement = false;
     v.sessions.violations.push_back(
         "durable kDo with no service-log record (shard/slog drift)");
   }
-  v.log_agreement = check_log_agreement(applied_slots);
+  v.log_agreement = check_log_agreement(join.slots);
   if (v.elapsed_s > 0) {
     v.ops_per_sec = static_cast<double>(v.completions) / v.elapsed_s;
   }

@@ -60,21 +60,16 @@ struct SvcFleetOptions {
   std::string run_dir;      // scratch: WAL shards, service logs, node logs
   std::string node_binary;  // udc_svc_node executable
 
-  // Open-loop load: `ops` total operations spread over `clients` client
-  // processes-worth of sessions, bounded-Pareto interarrivals with this
-  // mean, `read_fraction` of arrivals issued as lease reads.
+  // Open-loop load: `ops` total operations spread over `clients` clients
+  // of four sessions each, bounded-Pareto interarrivals with this mean,
+  // one arrival in five issued as a lease read.
   int clients = 2;
-  int sessions_per_client = 4;
   int ops = 600;
-  double read_fraction = 0.2;
   double mean_interarrival_us = 800;
 
-  // Chaos pacing (wall clock).
-  std::chrono::milliseconds chaos_after{150};  // first fault
-  std::chrono::milliseconds restart_after{300};
-  std::chrono::milliseconds kill_spacing{800};
-  int leader_kills = 2;  // kLeaderKill arm only
-
+  // Chaos pacing is fixed (wall clock): the first fault 150 ms into the
+  // load, each killed replica relaunched 300 ms after its kill, and the
+  // leader-kill arm's two kills at least 800 ms apart.
   std::chrono::milliseconds deadline{20'000};
 };
 

@@ -133,8 +133,7 @@ int run_svc_node(const SvcNodeOptions& opts) {
   // The recovered records and the WAL's kInit/kDo index live only in this
   // block: once the replica is rebuilt, the log and the session table hold
   // everything the loop needs.
-  const std::string slog_path =
-      opts.dir + "/svc-" + std::to_string(opts.id) + ".log";
+  const std::string slog_path = svc_log_path(opts.dir, opts.id);
   {
     std::set<ActionId> my_inits;
     std::vector<ActionId> wal_do_order;  // kDo replay order = apply order

@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <string>
 
 #include "udc/common/check.h"
 #include "udc/store/wal.h"
@@ -22,6 +23,10 @@ FramePayloadFn collect_batches(std::vector<SvcBatch>& out) {
 }
 
 }  // namespace
+
+std::string svc_log_path(const std::string& dir, ProcessId p) {
+  return dir + "/svc-" + std::to_string(p) + ".log";
+}
 
 SvcDurableLog::SvcDurableLog(std::string path) : path_(std::move(path)) {
   fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,

@@ -27,9 +27,13 @@
 #include <string>
 #include <vector>
 
+#include "udc/common/types.h"
 #include "udc/svc/wire.h"
 
 namespace udc {
+
+// Replica p's service log in the fleet's run directory: `<dir>/svc-<p>.log`.
+std::string svc_log_path(const std::string& dir, ProcessId p);
 
 class SvcDurableLog {
  public:

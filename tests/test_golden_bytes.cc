@@ -2,23 +2,18 @@
 //
 // The round-trip tests elsewhere cannot see a change made to an encoder
 // and its decoder together — both sides would still agree, while every
-// WAL, snapshot and service log already on disk (and every peer still
-// running the old build) would stop parsing.  These literals were printed
-// by the build that introduced them; a format change must edit them
-// deliberately.
+// WAL and service log already on disk (and every peer still running the
+// old build) would stop parsing.  These literals were printed by the build
+// that introduced them; a format change must edit them deliberately.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
 #include "udc/coord/action.h"
 #include "udc/net/wire.h"
 #include "udc/store/codec.h"
-#include "udc/store/snapshot.h"
 #include "udc/store/wal.h"
 #include "udc/svc/wire.h"
 
@@ -81,26 +76,6 @@ TEST(StoreGolden, RecordAndItsWalFrame) {
   EXPECT_EQ(hex(wal_frame(rec)),
             "1500000022983bd9"  // len 21, crc32c(len || payload)
             "e0c508010402d884800207079693d89fee47012206");
-}
-
-TEST(StoreGolden, TwoRecordSnapshotFile) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "udc_golden_snapshot";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const std::string path = (dir / "p0.snap").string();
-  write_snapshot_file(path, {{1, Event::init(5)}, sample_record()});
-  std::ifstream in(path, std::ios::binary);
-  const std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                                        std::istreambuf_iterator<char>()};
-  EXPECT_EQ(hex(bytes),
-            "554443534e503031"  // magic UDCSNP01
-            "0200000000000000"  // u64le record count
-            "0b000000f751ff13"  // frame 1: len 11, crc
-            "02030108010000000a0000"
-            "1500000022983bd9"  // frame 2: len 21, crc
-            "e0c508010402d884800207079693d89fee47012206");
-  std::filesystem::remove_all(dir);
 }
 
 TEST(WireGolden, DataWithAcks) {

@@ -58,9 +58,9 @@ Event event_at(ProcessId self, Time t) {
 }
 
 // The full pipeline under fire: 8 stores x 8 workers, staged rings, small
-// segments (so rotation happens mid-run), snapshot rotation interleaved,
-// a kSyncFail window over the middle third, then kill-under-committer and
-// the prefix/floor assertions per store.
+// segments (so rotation happens mid-run), a kSyncFail window over the
+// middle third, then kill-under-committer and the prefix/floor assertions
+// per store.
 TEST(GroupCommitConcurrent, KillMidBatchLosesAtMostSinceLastCommit) {
   const int n = 8;
   const Time kEvents = 600;
@@ -71,7 +71,6 @@ TEST(GroupCommitConcurrent, KillMidBatchLosesAtMostSinceLastCommit) {
   o.ring_frames = 64;          // small ring: self-drain backpressure too
   o.commit_every = 16;
   o.commit_interval = std::chrono::microseconds{200};
-  o.snapshot_every = 150;  // rotations race the committer's drains
 
   // Machine-crash semantics at every kill, plus poisoned barriers over the
   // middle third of the run.
@@ -98,12 +97,11 @@ TEST(GroupCommitConcurrent, KillMidBatchLosesAtMostSinceLastCommit) {
           st.append(t, event_at(p, t));
           // Park once inside the kSyncFail window, until a failing round
           // has actually hit this store — the failure counter below must
-          // not depend on scheduler luck (this box runs ctest heavily
-          // oversubscribed).  NOT at a multiple of snapshot_every: a
-          // rotation empties the WAL, and idle failing rounds are
-          // (correctly) not counted.  The round is guaranteed to come:
-          // ~100 frames are staged since the last rotation, well past
-          // commit_every, so this store's flusher has already been kicked.
+          // not depend on scheduler luck (ctest runs heavily
+          // oversubscribed).  The round is guaranteed to come: the 50
+          // frames appended since the window opened are well past
+          // commit_every, so this store's flusher has been kicked, and a
+          // failed barrier leaves them pending for the next round.
           if (t == kEvents / 2 - 50) {
             const auto deadline =
                 std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -165,7 +163,6 @@ TEST(GroupCommitConcurrent, FullRingSelfDrainThenFlushIsCrashProof) {
   o.ring_frames = 8;  // overflows every few appends
   o.commit_every = 1'000'000;
   o.commit_interval = std::chrono::seconds{100};
-  o.snapshot_every = 1'000'000;
   StorageFault trunc;
   trunc.kind = StorageFault::Kind::kTruncate;
   ProcessStore store(dir.string(), 0, o, {trunc});

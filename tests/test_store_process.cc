@@ -1,20 +1,19 @@
-// Snapshots and ProcessStore (store/): atomic compaction of the WAL, and
-// the kill-time storage faults against the combined snapshot+WAL state.
-// The contract under test: recover() always returns a PREFIX of what was
-// appended — possibly shorter under faults, never reordered, never corrupt,
-// never a throw — because suffix-loss is the failure model the runtime's
-// recovery protocol knows how to repair.
-#include "udc/store/snapshot.h"
+// ProcessStore (store/process_store.h): the kill-time storage faults
+// against the WAL segment chain, and recovery.  The contract under test:
+// recover() always returns a PREFIX of what was appended — possibly
+// shorter under faults, never reordered, never corrupt, never a throw —
+// because suffix-loss is the failure model the runtime's recovery
+// protocol knows how to repair.
+#include "udc/store/process_store.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
+#include <string>
 #include <vector>
 
 #include "udc/common/rng.h"
-#include "udc/store/process_store.h"
 #include "udc/store/wal.h"
 
 namespace udc {
@@ -23,7 +22,7 @@ namespace {
 namespace fs = std::filesystem;
 
 fs::path fresh_dir(const std::string& name) {
-  fs::path d = fs::temp_directory_path() / ("udc_snap_" + name);
+  fs::path d = fs::temp_directory_path() / ("udc_store_proc_" + name);
   fs::remove_all(d);
   fs::create_directories(d);
   return d;
@@ -33,139 +32,6 @@ std::vector<StoreRecord> records_upto(Time n) {
   std::vector<StoreRecord> out;
   for (Time t = 1; t <= n; ++t) out.push_back({t, Event::do_action(t % 5)});
   return out;
-}
-
-// --- snapshot files -------------------------------------------------------
-
-TEST(StoreSnapshot, RoundTripsAndReportsLastTick) {
-  fs::path dir = fresh_dir("roundtrip");
-  std::string path = (dir / "p.snap").string();
-  std::vector<StoreRecord> recs = records_upto(6);
-  write_snapshot_file(path, recs);
-  auto snap = read_snapshot_file(path);
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_EQ(snap->records, recs);
-  EXPECT_EQ(snap->last_tick(), 6);
-  EXPECT_EQ(Snapshot{}.last_tick(), 0);
-  fs::remove_all(dir);
-}
-
-TEST(StoreSnapshot, OverwriteIsAtomicAndLeavesNoTempFile) {
-  fs::path dir = fresh_dir("atomic");
-  std::string path = (dir / "p.snap").string();
-  write_snapshot_file(path, records_upto(3));
-  write_snapshot_file(path, records_upto(9));  // replaces, never appends
-  auto snap = read_snapshot_file(path);
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_EQ(snap->records.size(), 9u);
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
-  fs::remove_all(dir);
-}
-
-TEST(StoreSnapshot, AnyDefectReadsAsAbsentNotAsAnError) {
-  fs::path dir = fresh_dir("defects");
-  std::string path = (dir / "p.snap").string();
-  EXPECT_FALSE(read_snapshot_file(path).has_value());  // missing
-
-  write_snapshot_file(path, records_upto(4));
-  ASSERT_TRUE(read_snapshot_file(path).has_value());
-
-  // Truncation, a flipped byte anywhere, trailing junk, a wrong magic: a
-  // snapshot is all-or-nothing, so each defect must void the whole file.
-  std::vector<char> bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
-  auto rewrite = [&](const std::vector<char>& b) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(b.data(), static_cast<std::streamsize>(b.size()));
-  };
-  std::vector<char> truncated(bytes.begin(), bytes.end() - 5);
-  rewrite(truncated);
-  EXPECT_FALSE(read_snapshot_file(path).has_value());
-
-  std::vector<char> flipped = bytes;
-  flipped[flipped.size() / 2] ^= 0x20;
-  rewrite(flipped);
-  EXPECT_FALSE(read_snapshot_file(path).has_value());
-
-  std::vector<char> junk = bytes;
-  junk.push_back('x');
-  rewrite(junk);
-  EXPECT_FALSE(read_snapshot_file(path).has_value());
-
-  std::vector<char> bad_magic = bytes;
-  bad_magic[0] = 'X';
-  rewrite(bad_magic);
-  EXPECT_FALSE(read_snapshot_file(path).has_value());
-  fs::remove_all(dir);
-}
-
-// --- ProcessStore ---------------------------------------------------------
-
-TEST(StoreProcess, RotatesSnapshotsAndRecoversSnapshotPlusTail) {
-  fs::path dir = fresh_dir("rotate");
-  StoreOptions opts;
-  opts.snapshot_every = 4;
-  ProcessStore store(dir.string(), /*p=*/0, opts, /*faults=*/{});
-  std::vector<StoreRecord> recs = records_upto(10);
-  for (const StoreRecord& r : recs) store.append(r.t, r.e);
-  store.flush();
-  // Snapshots of frames 1-4 and 1-8, written as frames 5 and 9 arrive; two
-  // tail frames remain in the WAL.
-  EXPECT_EQ(store.counters().snapshots_written, 2u);
-
-  Rng rng(3);
-  store.apply_kill_faults(/*kill_time=*/11, rng);  // no faults scripted
-  std::vector<StoreRecord> recovered = store.recover();
-  EXPECT_EQ(recovered, recs);
-  EXPECT_EQ(store.counters().snapshots_loaded, 1u);
-  EXPECT_EQ(store.counters().wal_frames_replayed, 2u);
-  EXPECT_EQ(store.counters().recoveries_total, 1u);
-  EXPECT_EQ(store.counters().torn_tails_truncated, 0u);
-  fs::remove_all(dir);
-}
-
-// A kill right after the frame that fills the tail: the compaction that
-// frame made due runs on the next append, so recovery still replays a tail
-// instead of finding the WAL just emptied.
-TEST(StoreProcess, AFullTailIsCompactedByTheNextAppendNotTheLast) {
-  fs::path dir = fresh_dir("full_tail");
-  StoreOptions opts;
-  opts.snapshot_every = 4;
-  ProcessStore store(dir.string(), /*p=*/0, opts, /*faults=*/{});
-  std::vector<StoreRecord> recs = records_upto(8);
-  for (const StoreRecord& r : recs) store.append(r.t, r.e);
-  store.flush();
-  EXPECT_EQ(store.counters().snapshots_written, 1u);  // frames 1-4
-
-  Rng rng(5);
-  store.apply_kill_faults(/*kill_time=*/9, rng);  // no faults scripted
-  EXPECT_EQ(store.recover(), recs);
-  EXPECT_EQ(store.counters().snapshots_loaded, 1u);
-  EXPECT_EQ(store.counters().wal_frames_replayed, 4u);
-  fs::remove_all(dir);
-}
-
-TEST(StoreProcess, SurvivesASecondCrashImmediatelyAfterRecovery) {
-  fs::path dir = fresh_dir("double");
-  StoreOptions opts;
-  opts.snapshot_every = 4;
-  ProcessStore store(dir.string(), /*p=*/0, opts, /*faults=*/{});
-  std::vector<StoreRecord> recs = records_upto(7);
-  for (const StoreRecord& r : recs) store.append(r.t, r.e);
-  store.flush();
-  Rng rng(4);
-  store.apply_kill_faults(8, rng);
-  EXPECT_EQ(store.recover(), recs);
-  // Recovery re-compacted (snapshot rewritten, WAL emptied), so a crash
-  // with NO intervening appends must recover the identical prefix.
-  store.apply_kill_faults(9, rng);
-  EXPECT_EQ(store.recover(), recs);
-  EXPECT_EQ(store.counters().recoveries_total, 2u);
-  fs::remove_all(dir);
 }
 
 // Per-kind kill faults.  Each scenario appends the same 10 records, commits
@@ -178,12 +44,11 @@ StorageFault fault_of(StorageFault::Kind kind) {
   return f;  // window [0, kTimeMax): always live
 }
 
-// Keeps everything in the WAL.  The one-slot ring hands each frame to the
-// kernel on the next append, so an uncommitted tail is written but
-// unsynced: a process kill keeps it, a machine-crash truncate cuts it.
+// A one-slot ring hands each frame to the kernel on the next append, so an
+// uncommitted tail is written but unsynced: a process kill keeps it, a
+// machine-crash truncate cuts it.
 StoreOptions small_ring_opts() {
   StoreOptions opts;
-  opts.snapshot_every = 100;
   opts.ring_frames = 1;
   return opts;
 }
@@ -209,6 +74,50 @@ std::vector<StoreRecord> truncate_after_flushes(const std::string& name,
   return recovered;
 }
 
+// Recovery datasyncs every segment it keeps, and the reopened writer counts
+// them synced: a machine crash right after a recovery, with no append in
+// between, has nothing to cut and recovers the identical prefix.  Frames
+// appended afterwards continue the chain in a fresh preallocated segment
+// and survive the next kill with it.
+TEST(StoreProcess, SurvivesASecondCrashImmediatelyAfterRecovery) {
+  fs::path dir = fresh_dir("double");
+  const StoreOptions opts = small_ring_opts();
+  ProcessStore store(dir.string(), /*p=*/0, opts,
+                     {fault_of(StorageFault::Kind::kTruncate)});
+  const std::vector<StoreRecord> recs = records_upto(12);
+  const std::vector<StoreRecord> first(recs.begin(), recs.begin() + 7);
+  for (const StoreRecord& r : first) store.append(r.t, r.e);
+  store.flush();
+  Rng rng(4);
+  store.apply_kill_faults(8, rng);
+  EXPECT_EQ(store.recover(), first);
+  store.apply_kill_faults(9, rng);
+  EXPECT_EQ(store.recover(), first);
+  EXPECT_EQ(store.counters().storage_faults_injected, 0u);
+
+  for (std::size_t i = first.size(); i < recs.size(); ++i) {
+    store.append(recs[i].t, recs[i].e);
+  }
+  store.flush();
+  // The recovered frames stay in the first segment, cut to their length;
+  // the new ones went to a second, preallocated one (the two recoveries
+  // reopened the same empty segment rather than adding a file each).
+  const auto segs = list_wal_segments(store.wal_path());
+  ASSERT_EQ(segs.size(), 2u);
+  const WalReadResult kept = read_wal_file(segs[0].second);
+  EXPECT_EQ(kept.records, first);
+  EXPECT_EQ(kept.valid_bytes, fs::file_size(segs[0].second));
+  EXPECT_EQ(fs::file_size(segs[1].second), opts.segment_bytes);
+  EXPECT_EQ(read_wal_file(segs[1].second).records.size(),
+            recs.size() - first.size());
+
+  store.apply_kill_faults(13, rng);
+  EXPECT_EQ(store.recover(), recs);
+  EXPECT_EQ(store.counters().recoveries_total, 3u);
+  EXPECT_EQ(store.counters().storage_faults_injected, 0u);
+  fs::remove_all(dir);
+}
+
 TEST(StoreProcess, TornWriteLosesNothingRecordedJustTheTornTail) {
   fs::path dir = fresh_dir("torn");
   ProcessStore store(dir.string(), 0, small_ring_opts(),
@@ -226,7 +135,7 @@ TEST(StoreProcess, TornWriteLosesNothingRecordedJustTheTornTail) {
 
 TEST(StoreProcess, TruncateToSyncedCutsEverythingSinceTheLastFlush) {
   const std::vector<StoreRecord> recs = records_upto(10);
-  // Never flushed, no snapshot: the whole written-but-unsynced WAL is lost.
+  // Never flushed: the whole written-but-unsynced WAL is lost.
   EXPECT_TRUE(truncate_after_flushes("trunc_never", 0, 6).empty());
   // A flush after every append: the fault has nothing to bite.
   EXPECT_EQ(truncate_after_flushes("trunc_always", 1, 7), recs);

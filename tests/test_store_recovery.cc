@@ -1,6 +1,6 @@
 // Durable crash-recovery end to end (rt/runtime.h + store/): a worker is
-// hard-killed, its on-disk WAL/snapshot state is corrupted by a scripted
-// StorageFault, and the restarted worker recovers FROM DISK — then the
+// hard-killed, its on-disk WAL is corrupted by a scripted StorageFault,
+// and the restarted worker recovers FROM DISK — then the
 // lifted run goes through the same DC1-DC3 and fd-property checkers as
 // every other run.  The point of each test is the final conformance bit:
 // no storage fault may ever surface as a non-conformant live run.
@@ -35,7 +35,6 @@ StoreOptions uncommitted_store() {
   s.commit_every = std::numeric_limits<int>::max();
   s.commit_interval = std::chrono::hours(1);
   s.ring_frames = 1;
-  s.snapshot_every = 1'000'000;  // no snapshot floor either
   return s;
 }
 
@@ -67,8 +66,8 @@ TEST(StoreRecovery, RestartedWorkerRecoversFromDiskAndPreservesUniformity) {
 }
 
 // Kill the owner of the LAST directive just before it fires: by then the
-// victim has a rich log, small snapshot_every has rotated it, and recovery
-// is genuinely snapshot + WAL-tail replay (not the thin-log degenerate).
+// victim has a rich log, and recovery genuinely replays it from the WAL
+// (not the thin-log degenerate).
 TEST(StoreRecovery, SnapshotPlusTailReplayCarriesALateCrash) {
   RtOptions o;
   o.n = 4;
@@ -80,14 +79,12 @@ TEST(StoreRecovery, SnapshotPlusTailReplayCarriesALateCrash) {
       {o.workload.back().p, o.workload.back().at - 10});
   o.restart_after = 200;
   o.seed = 11;
-  o.durable_dir = fresh_dir("snapshot_tail");
+  o.durable_dir = fresh_dir("wal_replay");
   // The store is closed only at the restart, 200 ticks after the kill, so
-  // by then the committer has drained and synced the victim's tail.
-  o.store.snapshot_every = 16;
+  // by then the committer has drained and synced the victim's log.
   RtVerdict v = run_live(o);
   EXPECT_EQ(v.status, BudgetStatus::kComplete);
-  EXPECT_GE(v.counters.snapshots_written, 1u);
-  EXPECT_GE(v.counters.snapshots_loaded, 1u);
+  EXPECT_GE(v.counters.recoveries_total, 1u);
   EXPECT_GE(v.counters.wal_frames_replayed, 1u);
   EXPECT_TRUE(v.conformant) << violations_of(v);
   fs::remove_all(o.durable_dir);
@@ -146,7 +143,6 @@ TEST(StoreRecovery, TotalLogLossUnderFsyncNeverStillReconverges) {
   EXPECT_GE(v.counters.recoveries_total, 1u);
   EXPECT_GE(v.counters.storage_faults_injected, 1u);  // the truncate cut
   EXPECT_EQ(v.counters.wal_frames_replayed, 0u);      // ...every frame
-  EXPECT_EQ(v.counters.snapshots_loaded, 0u);
   EXPECT_TRUE(v.conformant) << violations_of(v);
   fs::remove_all(o.durable_dir);
 }
@@ -176,7 +172,6 @@ TEST(StoreRecovery, EveryFaultKindYieldsAConformantRecovery) {
     o.script.storage_faults.push_back(f);
     o.seed = 31 + static_cast<std::uint64_t>(i);
     o.durable_dir = fresh_dir("kind_" + std::to_string(i));
-    o.store.snapshot_every = 24;
     // Left to the committer, the victim's tail is synced long before the
     // restart closes its store, and the truncate has nothing to cut.
     const bool truncate = kind == StorageFault::Kind::kTruncate;

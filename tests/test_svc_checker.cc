@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "udc/coord/action.h"
+#include "udc/event/run.h"
 
 namespace udc {
 namespace {
@@ -199,6 +201,40 @@ TEST(SvcReplicaJoin, AKDoWithNoRecordIsUnbackedAndNotApplied) {
   EXPECT_EQ(j.applied[0].action, recorded.action);
   ASSERT_EQ(j.unbacked.size(), 1u);
   EXPECT_EQ(j.unbacked[0], lost);
+}
+
+// The fleet verdict's join: every action any replica initiated counts, but
+// a replica dead for good is left out of the apply sequences — here p0
+// performed a2 and died before its service log kept the record.
+TEST(SvcFleetJoin, AReplicaDeadForGoodIsLeftOutOfTheApplySequences) {
+  const SvcBatch b1 = batch(1, {write_op(7, 1, 0, 10)});
+  const SvcBatch b2 = batch(2, {write_op(7, 2, 0, 20)});
+  udc::Run::Builder rb(3);
+  rb.append(0, Event::init(b1.action)).end_step();
+  rb.append(0, Event::init(b2.action)).end_step();
+  for (const SvcBatch& b : {b1, b2}) {
+    for (ProcessId p = 0; p < 3; ++p) rb.append(p, Event::do_action(b.action));
+    rb.end_step();
+  }
+  rb.append(0, Event::crash()).end_step();
+  const udc::Run run = std::move(rb).build();
+  const std::vector<std::vector<SvcBatch>> svclogs = {{b1}, {b1, b2}, {b2, b1}};
+
+  const SvcFleetJoin j = join_fleet(run, svclogs, {true, false, false});
+  EXPECT_EQ(j.actions, (std::vector<ActionId>{b1.action, b2.action}));
+  EXPECT_TRUE(j.join_ok);
+  ASSERT_EQ(j.applied.size(), 2u);
+  ASSERT_EQ(j.slots.size(), 2u);
+  const std::vector<std::pair<std::uint64_t, ActionId>> want = {
+      {1, b1.action}, {2, b2.action}};
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_EQ(j.applied[i].size(), 2u);
+    EXPECT_EQ(j.applied[i][0], b1);
+    EXPECT_EQ(j.applied[i][1], b2);
+    EXPECT_EQ(j.slots[i], want);
+  }
+  // Counted as a survivor, the same replica's unbacked kDo fails the join.
+  EXPECT_FALSE(join_fleet(run, svclogs, {false, false, false}).join_ok);
 }
 
 }  // namespace

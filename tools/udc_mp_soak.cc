@@ -211,7 +211,6 @@ FleetOptions make_dagger(const Options& o, const std::string& run_dir,
   // SIGKILL each performer the moment its do_p is durable: the violation's
   // timing — knowledge died with the only processes that had it.
   f.kill_after_perform = {0, 1};
-  f.settle_after_kills = std::chrono::milliseconds(1'500);
   return f;
 }
 

@@ -61,7 +61,7 @@ struct Options {
                "  --seed <int>         base seed (run i uses seed+i)\n"
                "  --deadline-ms <int>  per-run wall-clock budget\n"
                "  --dir <path>         scratch root (default soak-scratch)\n"
-               "  --keep               keep per-run WAL/snapshot directories\n"
+               "  --keep               keep per-run WAL directories\n"
                "  --quiet              summary line only\n");
   std::exit(2);
 }
@@ -130,9 +130,9 @@ Options parse(int argc, char** argv) try {
 // newest.  Each store commits only itself, so a killed worker's WAL stays
 // as its own last round left it until the restart closes the store: the
 // machine-crash truncate cuts up to 7 frames under the every-8 arm, the
-// whole log since the last snapshot under the never arm, and nothing
-// under the every-append arm, whose last kick covers its last frame
-// (outside a drawn kSyncFail window).  The shipping arm is StoreOptions{};
+// whole log under the never arm, and nothing under the every-append arm,
+// whose last kick covers its last frame (outside a drawn kSyncFail
+// window).  The shipping arm is StoreOptions{};
 // the last two add small segments, so every run crosses several segment
 // boundaries and kills land mid-segment and mid-seal.
 struct StoreArm {
@@ -212,7 +212,7 @@ int main(int argc, char** argv) {
       // (tick 40, before the first directive at 60 — a near-empty log, the
       // degenerate recovery).  Odd runs kill the owner of the LAST directive
       // just before it fires — the run cannot complete without the restart,
-      // and by then the victim has a rich log, so snapshot+tail replay is
+      // and by then the victim has a rich log, so replaying a long chain is
       // what actually gets exercised.
       const bool late_kill = (i % 2 == 1);
       const ProcessId victim = late_kill
@@ -228,7 +228,6 @@ int main(int argc, char** argv) {
 
       const StoreArm& arm = kArms[i % kArmCount];
       rt.store = arm.store;
-      rt.store.snapshot_every = 24;  // small, to exercise rotation
       std::filesystem::path run_dir =
           std::filesystem::path(o.dir) / ("run-" + std::to_string(i));
       rt.durable_dir = run_dir.string();
