@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -75,14 +76,49 @@ bool bidirectional_cut(const FaultScript& script, ProcessId self,
   return false;
 }
 
+// What a status frame reports: the kInit/kDo actions the store's durable
+// floor covers.  A recorded kInit/kDo waits in `pending_`, stamped with
+// its record count, until the floor reaches it.
+class DurableActions {
+ public:
+  void note(std::size_t count, const Event& e) {
+    if (e.kind == EventKind::kInit || e.kind == EventKind::kDo) {
+      pending_.push_back({count, e.kind, e.action});
+    }
+  }
+  void advance(std::size_t floor) {
+    for (; !pending_.empty() && pending_.front().count <= floor;
+         pending_.pop_front()) {
+      const Pending& p = pending_.front();
+      (p.kind == EventKind::kInit ? inits : performs).insert(p.action);
+    }
+  }
+
+  std::set<ActionId> inits;
+  std::set<ActionId> performs;
+
+ private:
+  struct Pending {
+    std::size_t count;
+    EventKind kind;
+    ActionId action;
+  };
+  std::deque<Pending> pending_;
+};
+
 // The cross-process Env: record-then-transmit with the durable-send gate.
 // Replay mode mirrors RtEnv's (rt/runtime.cc): sends are swallowed — peers'
 // ARQ retransmissions regrow them — and performs re-record only what the
 // recovered log does not already contain.
 class NodeEnv final : public Env {
  public:
-  NodeEnv(ProcessId self, int n, NodeShell& shell, RemoteTransport& transport)
-      : self_(self), n_(n), shell_(shell), transport_(transport) {}
+  NodeEnv(ProcessId self, int n, NodeShell& shell, RemoteTransport& transport,
+          DurableActions& durable)
+      : self_(self),
+        n_(n),
+        shell_(shell),
+        transport_(transport),
+        durable_(durable) {}
 
   void begin_replay(std::set<ActionId> already_performed) {
     live_ = false;
@@ -90,21 +126,28 @@ class NodeEnv final : public Env {
   }
   void end_replay() { live_ = true; }
 
+  // Every event the node records goes through here.
+  Time record(const Event& e) {
+    const Time t = shell_.record(e);
+    durable_.note(shell_.records(), e);
+    return t;
+  }
+
   ProcessId self() const override { return self_; }
   int n() const override { return n_; }
   Time now() const override { return shell_.clock().now(); }
 
   void send(ProcessId to, const Message& msg) override {
     if (!live_) return;
-    const Time tick = shell_.record(Event::send(to, msg));
+    const Time tick = record(Event::send(to, msg));
     // Gate: this frame may not reach a socket until the store's durable
     // floor covers the kSend just appended.
-    transport_.send(to, msg, tick, shell_.mirror_len());
+    transport_.send(to, msg, tick, shell_.records());
   }
 
   void perform(ActionId alpha) override {
     if (!live_ && wal_performed_.count(alpha) > 0) return;
-    shell_.record(Event::do_action(alpha));
+    record(Event::do_action(alpha));
   }
 
   bool outbox_empty() const override { return true; }
@@ -115,6 +158,7 @@ class NodeEnv final : public Env {
   int n_;
   NodeShell& shell_;
   RemoteTransport& transport_;
+  DurableActions& durable_;
   bool live_ = true;
   std::set<ActionId> wal_performed_;
 };
@@ -152,11 +196,11 @@ const NodeIdentity& checked(const NodeIdentity& id) {
 // incarnation managed to persist before the SIGKILL landed.  Returns the
 // last recovered tick: logical time resumes past it.
 Time recover_prefix(std::uint64_t epoch, ProcessStore& store,
-                    std::vector<Event>& mirror) {
+                    std::vector<Event>& prefix) {
   Time last = 0;
   if (epoch == 0) return last;
   for (const StoreRecord& r : store.recover()) {
-    mirror.push_back(r.e);
+    prefix.push_back(r.e);
     last = std::max(last, r.t);
   }
   return last;
@@ -236,7 +280,8 @@ NodeShell::NodeShell(const NodeIdentity& id, std::uint64_t wire_salt,
     : id_(checked(id)),
       script_(load_fault_script(id.script_file)),
       store_(id.dir, id.id, mp_store_options(), {}),
-      clock_(recover_prefix(id.epoch, store_, mirror_)),
+      clock_(recover_prefix(id.epoch, store_, recovered_)),
+      records_(recovered_.size()),
       refusing_(static_cast<std::size_t>(id.n), false),
       reactor_(
           ReactorOptions{.self = id.id,
@@ -335,11 +380,16 @@ int run_node(const NodeOptions& opts) {
   LamportClock& clock = shell.clock();
   Reactor& reactor = shell.reactor();
 
+  // The recovered prefix is durable: recovery synced what it kept.
+  std::vector<Event> history = shell.take_recovered();
   std::set<ActionId> my_inits;  // recorded (not necessarily durable) kInits
   std::set<ActionId> wal_performed;
-  for (const Event& e : shell.mirror()) {
+  DurableActions durable;
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    const Event& e = history[i];
     if (e.kind == EventKind::kInit) my_inits.insert(e.action);
     if (e.kind == EventKind::kDo) wal_performed.insert(e.action);
+    durable.note(i + 1, e);
   }
 
   Mailbox mailbox;
@@ -376,7 +426,7 @@ int run_node(const NodeOptions& opts) {
   // --- protocol plane -------------------------------------------------------
   std::unique_ptr<Process> proto =
       live_protocol_factory(opts.protocol, opts.t)(opts.id);
-  NodeEnv env(opts.id, opts.n, shell, transport);
+  NodeEnv env(opts.id, opts.n, shell, transport, durable);
 
   if (opts.epoch == 0) {
     proto->on_start(env);
@@ -384,12 +434,11 @@ int run_node(const NodeOptions& opts) {
     // Replay the recovered prefix through a fresh protocol instance, then
     // tell every peer we restarted from a possibly lossy disk (kRejoin,
     // reliable but unrecorded) so they withdraw stale ack-state.  A
-    // replayed handler may re-record a kDo lost from the WAL suffix, which
-    // appends to the mirror being replayed: replay_history reads only the
-    // recovered prefix, by index and by copy.
+    // replayed handler may re-record a kDo lost from the WAL suffix; it
+    // goes to the WAL, never to the prefix being replayed.
     env.begin_replay(wal_performed);
     proto->on_start(env);
-    replay_history(*proto, env, shell.mirror());
+    replay_history(*proto, env, history);
     env.end_replay();
     Message rejoin;
     rejoin.kind = MsgKind::kRejoin;
@@ -397,6 +446,7 @@ int run_node(const NodeOptions& opts) {
       if (q != opts.id) transport.send_control(q, rejoin);
     }
   }
+  history = {};
 
   HeartbeatDetector detector(opts.n, opts.id, kLiveHeartbeat, clock.now());
   Message hb_msg;
@@ -404,25 +454,16 @@ int run_node(const NodeOptions& opts) {
   Time next_hb = 0;
 
   // Status plumbing: everything reported derives from the DURABLE prefix.
-  std::set<ActionId> durable_inits;
-  std::set<ActionId> durable_performs;
-  std::size_t scanned = 0;
-  const std::vector<Event>& mirror = shell.mirror();
   auto send_status = [&](bool done) {
-    const std::size_t floor = store.durable_floor();
-    const std::size_t limit = std::min(floor, mirror.size());
-    for (; scanned < limit; ++scanned) {
-      const Event& e = mirror[scanned];
-      if (e.kind == EventKind::kInit) durable_inits.insert(e.action);
-      if (e.kind == EventKind::kDo) durable_performs.insert(e.action);
-    }
+    const std::size_t limit = std::min(store.durable_floor(), shell.records());
+    durable.advance(limit);
     WireStatus s;
     s.id = opts.id;
     s.epoch = opts.epoch;
     s.clock = clock.now();
     s.durable_events = limit;
-    s.inits.assign(durable_inits.begin(), durable_inits.end());
-    s.performs.assign(durable_performs.begin(), durable_performs.end());
+    s.inits.assign(durable.inits.begin(), durable.inits.end());
+    s.performs.assign(durable.performs.begin(), durable.performs.end());
     s.counters = pack_node_counters(node_status_counters(
         atomic_counters.snapshot(), detector, reactor, store));
     s.done = done;
@@ -471,7 +512,7 @@ int run_node(const NodeOptions& opts) {
         // source for this node's events, so no duplicate can arise.
         if (my_inits.count(mail->action) == 0) {
           my_inits.insert(mail->action);
-          shell.record(Event::init(mail->action));
+          env.record(Event::init(mail->action));
           proto->on_init(mail->action, env);
         }
       } else if (mail->msg.kind == MsgKind::kHeartbeat) {
@@ -479,7 +520,7 @@ int run_node(const NodeOptions& opts) {
       } else if (mail->msg.kind == MsgKind::kRejoin) {
         proto->on_peer_recovered(mail->from, env);
       } else {
-        const Time rt = shell.record(Event::recv(mail->from, mail->msg));
+        const Time rt = env.record(Event::recv(mail->from, mail->msg));
         // R3 over real sockets: the sender recorded its kSend at send_tick,
         // the envelope carried the sender's clock, observe() folded it in
         // before this mail was enqueued — so our recv tick must exceed it.
@@ -501,7 +542,7 @@ int run_node(const NodeOptions& opts) {
       next_hb = now + kLiveHeartbeat.interval;
     }
     if (auto report = detector.poll(now)) {
-      shell.record(Event::suspect(*report));
+      env.record(Event::suspect(*report));
       proto->on_suspect(*report, env);
     }
     proto->on_tick(env);

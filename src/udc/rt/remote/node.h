@@ -36,6 +36,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "udc/chaos/fault_script.h"
@@ -117,10 +118,10 @@ int node_main(int argc, char** argv, const NodeFlagSpec& spec,
               NodeIdentity* flags, const std::function<int()>& run);
 
 // The OS-process half of a node.  Construction loads the fault script,
-// opens the store (recovering its durable prefix into mirror() when
-// epoch > 0), builds the reactor and starts the store's committer; the
-// node then installs its shim and hooks, and start() goes live.  Its loop
-// ends every pass with end_pass() and returns finish().
+// opens the store (recovering its durable prefix when epoch > 0), builds
+// the reactor and starts the store's committer; the node then takes the
+// recovered prefix, installs its shim and hooks, and start() goes live.
+// Its loop ends every pass with end_pass() and returns finish().
 class NodeShell {
  public:
   struct Hooks {
@@ -146,22 +147,25 @@ class NodeShell {
 
   const FaultScript& script() const { return script_; }
   ProcessStore& store() { return store_; }
-  const std::vector<Event>& mirror() const { return mirror_; }
   LamportClock& clock() { return clock_; }
   Reactor& reactor() { return reactor_; }
 
-  // Records one event: Lamport tick, durable append, in-memory mirror (the
-  // status scanner walks the mirror up to the store's durable floor).
-  // Worker thread only — the reactor thread never records, it only
-  // enqueues mail.  After the call, mirror_len() is the event's
-  // durable-send gate.
+  // The recovered prefix (empty at epoch 0), handed over once: a second
+  // call returns nothing.  The WAL chain stays its only durable copy.
+  std::vector<Event> take_recovered() { return std::exchange(recovered_, {}); }
+
+  // Records one event: Lamport tick, durable append.  Worker thread only —
+  // the reactor thread never records, it only enqueues mail.  After the
+  // call, records() is the event's durable-send gate.
   Time record(const Event& e) {
     const Time t = clock_.tick();
     store_.append(t, e);
-    mirror_.push_back(e);
+    ++records_;
     return t;
   }
-  std::size_t mirror_len() const { return mirror_.size(); }
+  // The recovered prefix's length plus every event recorded since: the
+  // count the store's durable floor is measured against.
+  std::size_t records() const { return records_; }
 
   // Stops the reactor when it goes out of scope: on an exception the
   // reactor thread is joined before the hooks' captures are destroyed.
@@ -188,8 +192,9 @@ class NodeShell {
   const NodeIdentity id_;
   const FaultScript script_;
   ProcessStore store_;
-  std::vector<Event> mirror_;
+  std::vector<Event> recovered_;
   LamportClock clock_;
+  std::size_t records_ = 0;
   Hooks hooks_;
   std::vector<bool> refusing_;
   std::atomic<bool> sup_up_{false};

@@ -78,8 +78,8 @@ class RemoteTransport {
   RemoteTransport& operator=(const RemoteTransport&) = delete;
 
   // Durable-gated protocol send: the frame is held until durable_floor()
-  // reaches `gate` (the mirror length right after the kSend was appended).
-  // `send_tick` is the recorded kSend tick — R3's rider.
+  // reaches `gate` (the node's record count right after the kSend was
+  // appended).  `send_tick` is the recorded kSend tick — R3's rider.
   void send(ProcessId to, const Message& msg, Time send_tick,
             std::size_t gate);
 

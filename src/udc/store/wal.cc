@@ -263,6 +263,7 @@ WalReadResult read_wal(const std::string& base, std::size_t max_read_chunk) {
 
 bool repair_wal(const std::string& base) {
   const auto segs = list_wal_segments(base);
+  if (segs.empty()) return false;  // no chain: read_wal reads it as empty
   bool cut_nonzero = false;
   bool kill_rest = false;
   unsigned expect = segs.front().first;

@@ -170,7 +170,7 @@ WalReadResult read_wal(const std::string& base, std::size_t max_read_chunk = 0);
 // prefix and deletes every later segment (their content is past the global
 // prefix by construction).  Returns true iff NONZERO bytes were cut — a
 // preallocated zero tail is trimmed silently, so recovery counters only
-// tick for real torn/corrupt tails.
+// tick for real torn/corrupt tails.  A chain with no segment cuts nothing.
 bool repair_wal(const std::string& base);
 
 // Datasyncs every segment of a WAL, so a repair's cuts and the frames it

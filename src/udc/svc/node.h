@@ -12,24 +12,18 @@
 // and plugs slot holes with no-op batches so the applied floor can always
 // advance.
 //
-// Model-event mapping (how chaos results get checked): sealing a batch
-// records kInit(action) at the admitting leader; applying it records
-// kDo(action) at every replica.  The batch propose leaves the leader only
-// once the kInit is WAL-durable (the svc-level durable-send gate), and
-// every svc frame carries a clock rider folded in before any recording, so
-// in the merged run each kDo tick strictly exceeds its kInit tick — DC3's
-// operational face, surviving kill -9 because a restarted owner re-records
-// any kInit its WAL lost for a batch its service log still holds, before
-// offering that batch for adoption.
-//
-// The replica is a protocol on rt/remote's NodeShell, which owns the OS
-// process: store, recovery and group commit, clock and recorder, the
-// supervisor link, the per-pass cuts/status/orphan tail and the orderly
-// exit.  Exit codes are the shell's: 0 on supervisor-ordered stop, 3 if
-// orphaned.  Its knobs are constants: heartbeats kLiveHeartbeat, a 60 ms
-// lease, batches of at most 128 ops sealed every 500 us, 8 uncommitted
-// slots and 4096 pending ops before kRetryLater, re-proposes and offers
-// every 20 ms, and mp_store_options() for the WAL.
+// The replica is SvcCore (svc/core.h), which holds every protocol
+// decision and makes every effect through SvcIo, pumped on rt/remote's
+// NodeShell, which owns the OS process: store, recovery and group commit,
+// clock and recorder, the supervisor link, the per-pass cuts/status/orphan
+// tail and the orderly exit.  run_svc_node recovers the service log,
+// builds the SvcIo over the reactor, the store and the service log, and
+// feeds the core from one mailbox on the worker thread.  Exit codes are
+// the shell's: 0 on supervisor-ordered stop, 3 if orphaned.  The knobs are
+// constants in svc/core.cc: heartbeats kLiveHeartbeat, a 60 ms lease,
+// batches of at most 128 ops sealed every 500 us, 8 uncommitted slots and
+// 4096 pending ops before kRetryLater, re-proposes and offers every 20 ms;
+// the WAL runs on mp_store_options().
 #pragma once
 
 #include "udc/rt/remote/node.h"

@@ -5,13 +5,15 @@
 // status; a supervisor that vanishes after connecting orphans the node
 // (exit 3) once kOrphanAfter has passed; and a supervisor that first shows
 // up after kOrphanAfter still gets a clean stop, because the orphan clock
-// starts at the first connect.
+// starts at the first connect.  A relaunched shell hands over exactly the
+// WAL's durable prefix, once.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <future>
 #include <memory>
@@ -20,10 +22,13 @@
 #include <string>
 #include <thread>
 
+#include "udc/coord/action.h"
+#include "udc/event/event.h"
 #include "udc/net/reactor.h"
 #include "udc/net/wire.h"
 #include "udc/rt/remote/node.h"
 #include "udc/rt/remote/supervisor.h"
+#include "udc/store/wal.h"
 #include "udc/svc/node.h"
 #include "udc/svc/wire.h"
 
@@ -194,6 +199,65 @@ void waits_for_a_late_supervisor(const NodeKind& kind) {
   sup.stop_node();
   EXPECT_EQ(node.exit_code(milliseconds(10'000)), 0);
   EXPECT_TRUE(sup.wait_done());
+}
+
+// Epoch 0 records six events and exits, leaving them all durable; then a
+// byte of the fifth frame flips, so the chain's valid prefix is four.  The
+// epoch-1 shell hands those four over, once, and counts from four.  No
+// reactor is started: the shell dials nothing until start().
+TEST(NodeShell, ARelaunchHandsOverTheDurablePrefixOnce) {
+  const fs::path dir = fs::temp_directory_path() / "udc_shell_prefix";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  NodeIdentity id;
+  id.id = 0;
+  id.n = 1;
+  id.supervisor_port = 1;
+  id.dir = dir.string();
+  std::vector<Event> recorded;
+  {
+    NodeShell shell(id, /*wire_salt=*/0, /*accept_clients=*/false);
+    EXPECT_TRUE(shell.take_recovered().empty());
+    EXPECT_EQ(shell.records(), 0u);
+    for (ActionId a = 0; a < 3; ++a) {
+      recorded.push_back(Event::init(make_action(0, a)));
+      recorded.push_back(Event::do_action(make_action(0, a)));
+    }
+    for (const Event& e : recorded) shell.record(e);
+    EXPECT_EQ(shell.records(), recorded.size());
+  }  // the store's destructor commits what is staged
+
+  // Flip a payload byte of frame 5: [u32 len][u32 crc][payload] frames.
+  const std::string base = (dir / "p0.wal").string();
+  const auto segs = list_wal_segments(base);
+  ASSERT_EQ(segs.size(), 1u);
+  {
+    std::fstream f(segs[0].second,
+                   std::ios::in | std::ios::out | std::ios::binary);
+    std::streamoff at = 0;
+    for (int frame = 0; frame < 4; ++frame) {
+      unsigned char len[4];
+      f.seekg(at);
+      f.read(reinterpret_cast<char*>(len), 4);
+      at += 8 + (len[0] | len[1] << 8 | len[2] << 16 | len[3] << 24);
+    }
+    f.seekg(at + 8);
+    const char byte = static_cast<char>(f.get() ^ 0x5a);
+    f.seekp(at + 8);
+    f.put(byte);
+  }
+
+  id.epoch = 1;
+  NodeShell shell(id, /*wire_salt=*/0, /*accept_clients=*/false);
+  EXPECT_EQ(shell.records(), 4u);
+  EXPECT_EQ(shell.store().durable_floor(), 4u);
+  const std::vector<Event> prefix = shell.take_recovered();
+  EXPECT_EQ(prefix,
+            std::vector<Event>(recorded.begin(), recorded.begin() + 4));
+  EXPECT_TRUE(shell.take_recovered().empty());  // handed over once
+  shell.record(Event::init(make_action(0, 9)));
+  EXPECT_EQ(shell.records(), 5u);
+  fs::remove_all(dir);
 }
 
 TEST(NodeShell, RtNodeStopsOnKStopWithADoneStatus) {

@@ -279,6 +279,18 @@ TEST(StoreWal, RepairCutsACorruptTailAndIsIdempotent) {
   fs::remove_all(dir);
 }
 
+// A base with no `<base>.seg-*` file is a chain with nothing in it: read
+// as empty and repaired with nothing cut, and no segment appears.
+TEST(StoreWal, RepairingAChainWithNoSegmentCutsNothing) {
+  fs::path dir = fresh_dir("repair_empty");
+  std::string path = (dir / "p0.wal").string();
+  ASSERT_TRUE(list_wal_segments(path).empty());
+  EXPECT_FALSE(repair_wal(path));
+  EXPECT_TRUE(list_wal_segments(path).empty());
+  EXPECT_TRUE(read_wal(path).records.empty());
+  fs::remove_all(dir);
+}
+
 // --- the torture property -------------------------------------------------
 
 // 1000 seeded corruption variants (truncate at a random byte / flip a random
